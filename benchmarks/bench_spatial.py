@@ -7,6 +7,8 @@ the brute-force path, O(N · nearby) with the uniform grid.  This sweep
 measures exactly that hot path: a moving Table-I-style highway
 population where every vehicle performs one broadcast fan-out query per
 round, repeated over simulated time so the grid pays its epoch rebuilds.
+The scan arm times :func:`brute_neighbors`, the O(N) oracle the grid is
+checked against, on an identical population.
 
 Run the full sweep (writes ``BENCH_spatial.json`` at the repo root)::
 
@@ -29,12 +31,13 @@ import platform
 import sys
 import time
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.mobility import VehicleMotion  # noqa: E402
-from repro.net import ChannelConfig, Network, Node  # noqa: E402
+from repro.net import Network, Node  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 
 #: Highway geometry: Table I strip (10 km x 200 m); a 500 m DSRC radio
@@ -62,9 +65,9 @@ class BenchVehicle(Node):
         return self.motion.speed_at(self.sim.now)
 
 
-def build_population(n: int, *, spatial: bool) -> tuple[Simulator, Network]:
+def build_population(n: int) -> tuple[Simulator, Network]:
     sim = Simulator(seed=42)
-    net = Network(sim, ChannelConfig(spatial_index=spatial))
+    net = Network(sim)
     rng = sim.rng("bench-placement")
     for i in range(n):
         motion = VehicleMotion(
@@ -78,6 +81,7 @@ def build_population(n: int, *, spatial: bool) -> tuple[Simulator, Network]:
 
 
 def brute_neighbors(net: Network, node: Node) -> list[Node]:
+    """The O(N) scan: every attached node through the exact predicate."""
     return [other for other in net.nodes if net._pair_in_range(node, other)]
 
 
@@ -86,9 +90,11 @@ def run_sweep(
 ) -> tuple[float, int, int]:
     """Every vehicle broadcasts once per round; time the fan-out queries.
 
+    ``spatial=False`` times :func:`brute_neighbors` instead of the grid.
     Returns (wall_seconds, total_neighbor_links, rebuilds).
     """
-    sim, net = build_population(n, spatial=spatial)
+    sim, net = build_population(n)
+    neighbors = net.neighbors if spatial else partial(brute_neighbors, net)
     links = 0
     elapsed = 0.0
     for round_index in range(rounds):
@@ -97,7 +103,7 @@ def run_sweep(
         sim.run(until=(round_index + 1) * 0.5)
         started = time.perf_counter()
         for node in net.nodes:
-            links += len(net.neighbors(node))
+            links += len(neighbors(node))
         elapsed += time.perf_counter() - started
         if round_index in verify_rounds and spatial:
             for node in net.nodes:
@@ -108,8 +114,7 @@ def run_sweep(
                         f"grid/brute divergence: n={n} round={round_index} "
                         f"node={node.node_id}: {len(got)} vs {len(expected)}"
                     )
-    rebuilds = net.spatial.rebuilds if net.spatial is not None else 0
-    return elapsed, links, rebuilds
+    return elapsed, links, net.spatial.rebuilds
 
 
 def bench_point(n: int, rounds: int, *, verify_all: bool) -> dict:

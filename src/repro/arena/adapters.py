@@ -161,7 +161,7 @@ class TrustWatchdogAdapter(_OverhearingDetector):
         self._handoffs: Counter = Counter()
         self._forwards: Counter = Counter()
         self._timer = self.rsu.sim.schedule(
-            config.trust_epoch, self._epoch_tick, label="trust epoch", wheel=True
+            config.trust_epoch, self._epoch_tick, label="trust epoch"
         )
 
     def stop(self) -> None:
@@ -204,7 +204,6 @@ class TrustWatchdogAdapter(_OverhearingDetector):
             self.config.trust_epoch,
             self._epoch_tick,
             label="trust epoch",
-            wheel=True,
         )
 
 
@@ -266,7 +265,6 @@ class NaiveProbeAdapter(_OverhearingDetector):
             self._send_probe,
             args=(alias, packet.destination),
             label="naive probe",
-            wheel=True,
         )
 
     def _send_probe(self, alias: str, destination: str) -> None:

@@ -130,7 +130,6 @@ class FloodingVehicle(VehicleNode):
             self.policy.start_delay,
             self._start_flood,
             label="flood start",
-            wheel=True,
         )
 
     def _start_flood(self) -> None:
@@ -161,7 +160,7 @@ class FloodingVehicle(VehicleNode):
             if self._burst_position >= policy.burst_size:
                 self._burst_position = 0
                 delay = policy.burst_pause
-        self.sim.schedule(delay, self._flood_tick, label="flood rreq", wheel=True)
+        self.sim.schedule(delay, self._flood_tick, label="flood rreq")
 
     def _send_fake_rreq(self) -> None:
         self.rreqs_flooded += 1

@@ -73,7 +73,6 @@ class SybilAodv(BlackHoleAodv):
                 args=(alias, sender, packet.originator, packet.destination,
                       corroborating_seq, 2 + index),
                 label="sybil corroboration",
-                wheel=True,
             )
 
     def _send_corroboration(

@@ -91,7 +91,6 @@ class WormholeAodv(AodvProtocol):
             args=(sender, packet.originator, packet.destination,
                   requested + TUNNEL_SEQ_MARGIN),
             label="wormhole tunnel",
-            wheel=True,
         )
 
     def _send_tunnel_reply(

@@ -81,12 +81,12 @@ class InfrastructureRouting:
     # Directory upkeep
     # ------------------------------------------------------------------
     def _peer_addresses(self) -> list[str]:
-        backbone = self.rsu.network.backbone if self.rsu.network else None
-        if backbone is None:
+        # Backbone addresses iterate in the order they were added, which
+        # fixes the announcement order and so the event sequence numbers.
+        network = self.rsu.network
+        if network is None:
             return []
-        return [
-            address for address in backbone.nodes if address != self.rsu.address
-        ]
+        return [address for address in network.backbone if address != self.rsu.address]
 
     def _broadcast_delta(self, joined: list[str], left: list[str]) -> None:
         for peer in self._peer_addresses():

@@ -355,7 +355,6 @@ class DetectionService:
             handler,
             args=(case,),
             label=f"probe-timeout {case.suspect}",
-            wheel=True,
         )
 
     def _cancel_timer(self, case: _ExamCase) -> None:

@@ -291,7 +291,6 @@ class RouteVerifier:
             self._hello_timeout,
             args=(case,),
             label=f"hello-timeout {case.destination}",
-            wheel=True,
         )
 
     def _sign_hello(self, hello: SecureHello) -> None:
@@ -412,7 +411,6 @@ class RouteVerifier:
             self._result_timeout,
             args=(case,),
             label=f"result-timeout {case.suspect}",
-            wheel=True,
         )
 
     def _result_timeout(self, case: _Case) -> None:

@@ -214,7 +214,6 @@ class InfrastructureWatchdog:
             self._expire,
             args=(obligation,),
             label="watchdog grace",
-            wheel=True,
         )
 
     def _discharge(self, packet: DataPacket, sender: str) -> None:

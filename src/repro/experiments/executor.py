@@ -51,7 +51,9 @@ from repro.experiments.progress import ProgressEvent
 
 #: Bump when the summary fields or the canonical config encoding change;
 #: old cache entries then miss instead of deserialising garbage.
-#: 2: ChannelConfig gained ``batch_broadcast``.
+#: 2: ChannelConfig gained a broadcast-batching switch (since removed;
+#:    removing a ChannelConfig field changes the canonical encoding, so
+#:    affected keys miss on their own without a bump).
 #: 3: zero-allocation packet path landed.
 #: 4: arena fields (``detector``, ``time_to_isolation``, overhead
 #:    counters) joined :class:`TrialSummary`.

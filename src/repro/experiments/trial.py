@@ -284,7 +284,6 @@ class TrialSession:
                 self._send_plain_data,
                 args=(index,),
                 label="arena data",
-                wheel=True,
             )
 
     def _send_plain_data(self, index: int) -> None:

@@ -13,7 +13,9 @@ Public API
 - :class:`~repro.net.node.Node` -- base class for vehicles and RSUs.
 - :class:`~repro.net.network.Network` -- the radio medium + backbone.
 - :class:`~repro.net.spatial.SpatialIndex` -- uniform-grid neighbour
-  index serving the broadcast hot path (``ChannelConfig.spatial_index``).
+  index serving the broadcast hot path and every range query.
+- :mod:`~repro.net.codec` -- the binary wire format; byte accounting
+  (``ChannelConfig.account_bytes``) measures packets through it.
 """
 
 from repro.net.network import BROADCAST, ChannelConfig, Network, NetworkStats

@@ -9,30 +9,27 @@ Deliveries are scheduled events: a packet sent at *t* arrives at
 *t + per_hop_delay + jitter*.  Reachability is evaluated at send time;
 with millisecond latencies and highway speeds the position drift within
 one hop is millimetres, so this is exact for all practical purposes.
-Broadcast fan-out is batched (``ChannelConfig.batch_broadcast``): all
-receivers sharing an arrival time ride one event carrying the frozen
-receiver list, invoked in exactly the order per-receiver events would
-have fired — see ``docs/performance.md`` for the ordering argument.
+Broadcast fan-out is batched: all receivers sharing an arrival time
+ride one event carrying the receiver tuple, invoked in exactly the
+order per-receiver events would have fired — see ``docs/performance.md``
+for the ordering argument.
 
-The backbone is a :mod:`networkx` graph over RSU addresses; packets
+The backbone is an undirected adjacency map over RSU addresses; packets
 between connected RSUs take ``wired_hop_delay`` per backbone hop and
 ignore radio range entirely.
 
 Neighbour queries (broadcast fan-out, ``neighbors()``, monitor
 overhearing, and the unicast range check) are served by an epoch-based
-uniform-grid index (:mod:`repro.net.spatial`) when
-``ChannelConfig.spatial_index`` is on — identical results to the
-brute-force scan, at O(nearby cells) per query instead of O(N).  See
-``docs/performance.md``.
+uniform-grid index (:mod:`repro.net.spatial`) — identical results to the
+brute-force :meth:`Network._pair_in_range` scan, at O(nearby cells) per
+query instead of O(N).  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
-
-import networkx as nx
 
 from repro.net.node import _UNRESOLVED, Node
 from repro.net.packets import Packet
@@ -62,25 +59,6 @@ class ChannelConfig:
         binary wire codec and per-kind byte totals are accumulated in
         the stats (one encode per packet *instance* — the size is
         memoised by :func:`repro.net.codec.wire_size`; off by default).
-    intern_wire:
-        When True (requires ``account_bytes``), each packet's first
-        encode is also interned through :func:`repro.net.frozen.freeze`,
-        so identical transmissions share one
-        :class:`~repro.net.frozen.FrozenPacket` and the
-        ``net.packet.interned`` gauge tracks wire-level duplication.
-        Off by default: accounting alone does not need the table.
-    batch_broadcast:
-        When True (default) a broadcast schedules one delivery event
-        per distinct arrival time carrying the frozen receiver list,
-        instead of one event per receiver.  Receivers are invoked in
-        exactly the order the per-receiver events would have fired;
-        the switch exists for A/B benchmarking and the golden-trace
-        equivalence test.
-    spatial_index:
-        When True (default) neighbour queries and broadcast fan-out are
-        served by a uniform-grid :class:`~repro.net.spatial.SpatialIndex`
-        instead of an O(N) scan.  Results are identical either way; the
-        switch exists for A/B benchmarking and as an escape hatch.
     spatial_guard_band:
         Metres of kinematic drift the index absorbs between rebuilds;
         queries widen by this much and the snapshot validity window is
@@ -97,9 +75,6 @@ class ChannelConfig:
     loss_rate: float = 0.0
     wired_hop_delay: float = 0.001
     account_bytes: bool = False
-    intern_wire: bool = False
-    batch_broadcast: bool = True
-    spatial_index: bool = True
     spatial_guard_band: float = 50.0
     spatial_max_speed: float = 75.0
 
@@ -146,7 +121,9 @@ class Network:
         self.config = config or ChannelConfig()
         self._by_address: dict[str, Node] = {}
         self.nodes: list[Node] = []
-        self.backbone = nx.Graph()
+        #: wired links: RSU address -> linked addresses, in the order the
+        #: addresses first joined (announcement order follows it)
+        self.backbone: dict[str, set[str]] = {}
         self.stats = NetworkStats()
         self._rng = simulator.rng("channel")
         #: promiscuous listeners: (node, callback) pairs that overhear
@@ -156,16 +133,12 @@ class Network:
         #: transmission, radio ("air") and backbone ("wire") alike —
         #: instrumentation for tracing, not a protocol-visible channel
         self.taps: list[Callable[[Packet, str], None]] = []
-        #: uniform-grid neighbour index (None when disabled by config);
-        #: serves broadcast fan-out, neighbors() and in_range rejection
-        self.spatial: SpatialIndex | None = (
-            SpatialIndex(
-                self,
-                guard_band=self.config.spatial_guard_band,
-                max_speed=self.config.spatial_max_speed,
-            )
-            if self.config.spatial_index
-            else None
+        #: uniform-grid neighbour index: serves broadcast fan-out,
+        #: neighbors() and in_range rejection
+        self.spatial = SpatialIndex(
+            self,
+            guard_band=self.config.spatial_guard_band,
+            max_speed=self.config.spatial_max_speed,
         )
 
     # ------------------------------------------------------------------
@@ -178,8 +151,7 @@ class Network:
         node.network = self
         self._by_address[node.address] = node
         self.nodes.append(node)
-        if self.spatial is not None:
-            self.spatial.add(node)
+        self.spatial.add(node)
 
     def detach(self, node: Node) -> None:
         """Remove a node (e.g. a vehicle leaving the highway).
@@ -200,8 +172,7 @@ class Network:
         if node in self.nodes:
             self.nodes.remove(node)
         self.remove_monitor(node)
-        if self.spatial is not None:
-            self.spatial.remove(node)
+        self.spatial.remove(node)
         node.network = None
 
     def readdress(self, node: Node, old_address: str) -> None:
@@ -220,8 +191,7 @@ class Network:
 
     def note_moved(self, node: Node) -> None:
         """Re-index a node after an explicit ``set_position`` teleport."""
-        if self.spatial is not None:
-            self.spatial.move(node)
+        self.spatial.move(node)
 
     def node_at(self, address: str) -> Node | None:
         """Node currently holding ``address``, if attached."""
@@ -257,14 +227,12 @@ class Network:
     def in_range(self, a: Node, b: Node) -> bool:
         """Bidirectional unit-disk reachability.
 
-        With the spatial index enabled, pairs whose snapshot cells are
-        provably too far apart are rejected without computing a
-        distance; the exact predicate decides everything else, so the
-        result is identical to the brute-force check.
+        Pairs whose spatial-index snapshot cells are provably too far
+        apart are rejected without computing a distance; the exact
+        predicate decides everything else, so the result is identical
+        to the brute-force check.
         """
-        if self.spatial is not None and not self.spatial.maybe_in_range(a, b):
-            return False
-        return self._pair_in_range(a, b)
+        return self.spatial.maybe_in_range(a, b) and self._pair_in_range(a, b)
 
     def neighbors(self, node: Node) -> list[Node]:
         """Nodes currently within bidirectional radio range.
@@ -273,12 +241,11 @@ class Network:
         paper assumes ("nodes can perform secure neighbor discovery by
         mutual authentication when two nodes are within the transmission
         range of each other"); only attached, in-range nodes appear, in
-        attach order.  Served by the grid index when enabled (identical
-        result, O(nearby cells) instead of O(N)).
+        attach order.  Served by the grid index: the same result as
+        scanning ``nodes`` with :meth:`_pair_in_range`, at O(nearby
+        cells) instead of O(N).
         """
-        if self.spatial is not None:
-            return self.spatial.neighbors(node)
-        return [other for other in self.nodes if self._pair_in_range(node, other)]
+        return self.spatial.neighbors(node)
 
     # ------------------------------------------------------------------
     # Radio transmission
@@ -297,13 +264,6 @@ class Network:
         from repro.net.codec import CodecError, wire_size
 
         try:
-            if self.config.intern_wire and packet._wire_size is None:
-                # First sight of this instance: intern its wire form so
-                # identical packets elsewhere share one frozen view (and
-                # seed the _wire_size memo in the same single encode).
-                from repro.net.frozen import freeze
-
-                packet._wire_size = freeze(packet).wire_size
             packet.size_bytes = wire_size(packet)
         except CodecError:
             pass  # unregistered test packets keep their nominal size
@@ -338,35 +298,18 @@ class Network:
             return
         # in_range is index-accelerated: far-away monitors are rejected
         # from snapshot cells without a distance computation.
-        sender_address = packet.src or sender.address
-        sim = self.sim
-        arrival = sim.now + self.config.per_hop_delay
-        push_delivery = sim.queue.push_delivery
-        pool = sim.pool_events
-        if self.config.batch_broadcast:
-            entries = tuple(
-                entry
-                for entry in self._monitors
-                if entry[0] is not sender and self.in_range(sender, entry[0])
-            )
-            if entries:
-                push_delivery(
-                    arrival,
-                    self._overhear_arrive,
-                    (entries, packet, sender_address),
-                    f"overhear {packet.kind}",
-                    pool,
-                )
-            return
-        for monitor, callback in self._monitors:
-            if monitor is sender or not self.in_range(sender, monitor):
-                continue
-            push_delivery(
-                arrival,
-                self._overhear_arrive_one,
-                (monitor, callback, packet, sender_address),
+        entries = tuple(
+            entry
+            for entry in self._monitors
+            if entry[0] is not sender and self.in_range(sender, entry[0])
+        )
+        if entries:
+            sim = self.sim
+            sim.queue.push_delivery(
+                sim.now + self.config.per_hop_delay,
+                self._overhear_arrive,
+                (entries, packet, packet.src or sender.address),
                 f"overhear {packet.kind}",
-                pool,
             )
 
     def _overhear_arrive(
@@ -380,12 +323,6 @@ class Network:
         for entry in entries:
             if entry in monitors:
                 entry[1](packet, sender_address, packet.dst)
-
-    def _overhear_arrive_one(
-        self, monitor: Node, callback, packet: Packet, sender_address: str
-    ) -> None:
-        if (monitor, callback) in self._monitors:
-            callback(packet, sender_address, packet.dst)
 
     _deliver_labels: dict[str, str] = {}
 
@@ -425,12 +362,7 @@ class Network:
         if self._monitors:
             self._overhear(sender, packet)
         if packet.dst == BROADCAST:
-            receivers = self.neighbors(sender)
-            if self.config.batch_broadcast:
-                self._broadcast_batched(sender, receivers, packet)
-            else:
-                for receiver in receivers:
-                    self._deliver(sender, receiver, packet)
+            self._broadcast(sender, self.neighbors(sender), packet)
             return
         receiver = self._by_address.get(packet.dst)
         if receiver is None:
@@ -443,17 +375,17 @@ class Network:
             return
         self._deliver(sender, receiver, packet)
 
-    def _broadcast_batched(
+    def _broadcast(
         self, sender: Node, receivers: list[Node], packet: Packet
     ) -> None:
         """Fan a broadcast out as one event per distinct arrival time.
 
         Per-receiver loss and jitter draws happen here, at send time, in
-        receiver order — exactly the draws (and RNG stream order) the
-        per-receiver path makes.  Receivers that land on the same delay
-        are frozen into one tuple and invoked in that order by a single
-        event; because the per-receiver path would have scheduled them
-        with consecutive sequence numbers, no foreign event can sort
+        receiver order — exactly the draws (and RNG stream order) that
+        one :meth:`_deliver` per receiver would make.  Receivers that
+        land on the same delay are packed into one tuple and invoked in
+        that order by a single event; because per-receiver events would
+        have had consecutive sequence numbers, no foreign event can sort
         between them, so the merged callback order is identical.
         """
         config = self.config
@@ -482,7 +414,6 @@ class Network:
         sim = self.sim
         now = sim.now
         push_delivery = sim.queue.push_delivery
-        pool = sim.pool_events
         arrive_batch = self._arrive_batch
         for delay, batch in groups.items():
             push_delivery(
@@ -490,7 +421,6 @@ class Network:
                 arrive_batch,
                 (tuple(batch), packet, sender_address),
                 label,
-                pool,
             )
 
     def _arrive_batch(
@@ -560,7 +490,6 @@ class Network:
             self._arrive,
             (receiver, packet, sender_address),
             self._deliver_label(packet.kind),
-            sim.pool_events,
         )
 
     def _arrive(self, receiver: Node, packet: Packet, sender_address: str) -> None:
@@ -580,16 +509,35 @@ class Network:
     # ------------------------------------------------------------------
     def connect_backbone(self, a: Node, b: Node) -> None:
         """Add a wired link between two (stationary) nodes."""
-        self.backbone.add_edge(a.address, b.address)
+        backbone = self.backbone
+        backbone.setdefault(a.address, set()).add(b.address)
+        backbone.setdefault(b.address, set()).add(a.address)
+
+    def disconnect_backbone(self, a: str, b: str) -> None:
+        """Cut the wired link between addresses ``a`` and ``b``.
+
+        Both addresses stay on the backbone (possibly isolated), so
+        peers keep addressing them and see them as unreachable.
+        """
+        self.backbone[a].discard(b)
+        self.backbone[b].discard(a)
 
     def backbone_path_length(self, src_address: str, dst_address: str) -> int | None:
         """Hops between two backbone nodes, or None if disconnected."""
-        if src_address not in self.backbone or dst_address not in self.backbone:
+        backbone = self.backbone
+        if src_address not in backbone or dst_address not in backbone:
             return None
-        try:
-            return nx.shortest_path_length(self.backbone, src_address, dst_address)
-        except nx.NetworkXNoPath:
-            return None
+        hops = {src_address: 0}
+        frontier = deque([src_address])
+        while frontier:
+            address = frontier.popleft()
+            if address == dst_address:
+                return hops[address]
+            for peer in backbone[address]:
+                if peer not in hops:
+                    hops[peer] = hops[address] + 1
+                    frontier.append(peer)
+        return None
 
     def transmit_backbone(self, sender: Node, packet: Packet) -> bool:
         """Send over the wired backbone to ``packet.dst``.

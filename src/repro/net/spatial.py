@@ -37,12 +37,12 @@ table, never node positions, so they require no index work at all.
 
 Determinism
 -----------
-The brute-force path returns neighbours in attach order, and delivery
-event ordering (hence RNG draw order) depends on it.  The grid preserves
-this: every node carries a monotone attach sequence number and query
-results are sorted by it, so grid and brute force return *identical
-lists* and seeded experiments are byte-identical with the index on or
-off.
+A brute-force scan (``Network._pair_in_range`` over ``Network.nodes``)
+returns neighbours in attach order, and delivery event ordering (hence
+RNG draw order) depends on it.  The grid preserves this: every node
+carries a monotone attach sequence number and query results are sorted
+by it, so grid and brute force return *identical lists*; the tests keep
+the scan as the oracle the grid is checked against.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ End-of-run snapshots answer "how much happened"; the paper's headline
 claims are *temporal* — how fast a black hole is detected and isolated
 after it appears — and watching a dynamic system (DPRAODV-style
 thresholds, queue depth, probe traffic) means sampling it while it runs.
-:class:`TimeSeriesRecorder` schedules itself on the simulator's timer
-wheel at a fixed **virtual-time** cadence and snapshots every instrument
+:class:`TimeSeriesRecorder` schedules itself on the simulator's event
+queue at a fixed **virtual-time** cadence and snapshots every instrument
 in the :class:`~repro.obs.metrics.MetricsRegistry` into fixed-capacity
 ring buffers.
 
@@ -213,7 +213,6 @@ class TimeSeriesRecorder:
             self._tick,
             priority=10,  # PRIORITY_LOW: sample after the instant's work
             label="obs timeseries sample",
-            wheel=True,
         )
 
     def _tick(self) -> None:

@@ -280,7 +280,6 @@ class AodvProtocol:
             self._discovery_window_closed,
             args=(state,),
             label=f"discovery {state.destination}",
-            wheel=True,
         )
 
     def _discovery_window_closed(self, state: _Discovery) -> None:

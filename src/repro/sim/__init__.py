@@ -14,8 +14,6 @@ Public API
   random streams (mobility, traffic, attacker, ...).
 - :class:`~repro.sim.timers.Timer` / :class:`~repro.sim.timers.PeriodicTimer`
   -- cancellable one-shot and repeating timers.
-- :class:`~repro.sim.wheel.TimerWheel` -- hierarchical buckets for
-  timer-class events (O(1) restart/cancel).
 - :class:`~repro.sim.logging.SimLogger` -- logger that stamps records with
   the virtual clock.
 """
@@ -25,7 +23,6 @@ from repro.sim.logging import SimLogger
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator, SimulationError
 from repro.sim.timers import PeriodicTimer, Timer
-from repro.sim.wheel import TimerWheel
 
 __all__ = [
     "Event",
@@ -36,5 +33,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "TimerWheel",
 ]

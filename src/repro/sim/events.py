@@ -6,7 +6,7 @@ same-priority events identical to their scheduling order.  Determinism of
 this ordering is what makes every experiment in the reproduction
 repeatable from a seed.
 
-Three implementation choices keep the hot path fast without changing
+Two implementation choices keep the hot path fast without changing
 that contract:
 
 - the heap stores plain ``(time, priority, sequence, event)`` tuples, so
@@ -15,15 +15,10 @@ that contract:
   unique, so the trailing event object is never compared);
 - :class:`Event` is a ``__slots__`` class carrying an ``args`` tuple, so
   callers can schedule bound methods with arguments instead of
-  allocating a capture-closure per packet;
-- timer-class work pushed with ``wheel=True`` is filed in a hierarchical
-  :class:`~repro.sim.wheel.TimerWheel` and only migrates into the heap
-  when the loop approaches its slot.  Wheel entries draw sequence
-  numbers from the same counter at scheduling time, so the merged
-  execution order is identical to a heap-only queue's.
+  allocating a capture-closure per packet.
 
 Cancellation stays lazy (a flag checked when an entry surfaces), but the
-queue now tracks its :attr:`~EventQueue.cancelled_fraction` and compacts
+queue tracks its :attr:`~EventQueue.cancelled_fraction` and compacts
 itself once more than half of the stored entries are corpses, so
 restart-heavy timers no longer grow the heap without bound.
 
@@ -42,8 +37,7 @@ that must hold a handle across a dispatch can pass the generation they
 captured at scheduling time to :meth:`Event.cancel` — a stale
 generation is a no-op.  Pooling changes no ordering: sequence numbers
 are drawn from the same counter whether an event comes from the
-freelist or the allocator (``tests/test_packetpath_equivalence.py``
-pins byte-identical traces with the pool on and off).
+freelist or the allocator.
 """
 
 from __future__ import annotations
@@ -51,8 +45,6 @@ from __future__ import annotations
 import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
-
-from repro.sim.wheel import TimerWheel
 
 #: Default priority for ordinary events.
 PRIORITY_NORMAL = 0
@@ -164,8 +156,7 @@ class Event:
 
 
 class EventQueue:
-    """A tuple-keyed heap of :class:`Event` objects with lazy cancellation,
-    optionally backed by a :class:`~repro.sim.wheel.TimerWheel`.
+    """A tuple-keyed heap of :class:`Event` objects with lazy cancellation.
 
     >>> q = EventQueue()
     >>> e = q.push(1.0, lambda: None, label="hello")
@@ -176,16 +167,10 @@ class EventQueue:
     True
     """
 
-    def __init__(
-        self,
-        *,
-        wheel: TimerWheel | None = None,
-        pool_max_free: int = POOL_MAX_FREE,
-    ) -> None:
+    def __init__(self, *, pool_max_free: int = POOL_MAX_FREE) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
-        self.wheel = wheel
         #: number of times the queue rebuilt itself to shed corpses
         self.compactions = 0
         #: most live events ever pending at once; tracked on push so the
@@ -218,15 +203,9 @@ class EventQueue:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-        wheel: bool = False,
         pooled: bool = False,
     ) -> Event:
         """Insert an event and return a handle that can be cancelled.
-
-        ``wheel=True`` marks timer-class work (likely to be cancelled or
-        restarted before firing): it is filed in the timer wheel when one
-        is attached, falling back to the heap when the target slot has
-        already been flushed.  Ordering is identical either way.
 
         ``pooled=True`` marks fire-and-forget work whose handle the
         caller will not retain: the event is drawn from the freelist
@@ -252,8 +231,7 @@ class EventQueue:
             event.pooled = pooled
             sequence = event.sequence
         event._queue = self
-        if not (wheel and self.wheel is not None and self.wheel.insert(event)):
-            heappush(self._heap, (time, priority, sequence, event))
+        heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         if self._live > self.high_water:
             self.high_water = self._live
@@ -265,20 +243,19 @@ class EventQueue:
         action: Callable[..., Any],
         args: tuple,
         label: str,
-        pooled: bool,
     ) -> Event:
         """Positional fast path of :meth:`push` for delivery fan-out.
 
         Semantically ``push(time, action, args=args, label=label,
-        pooled=pooled)`` — same shared sequence counter, same heap entry,
+        pooled=True)`` — same shared sequence counter, same heap entry,
         same freelist — minus the keyword-argument plumbing and the
-        wheel/validity branches the radio fan-out never takes.  The
+        validity branch the radio fan-out never needs.  The
         network schedules thousands of these per flood round; shaving
         the call overhead here is worth the duplication.  ``time`` must
         be non-negative (callers derive it as ``now + delay`` with
         validated non-negative delays).
         """
-        if pooled and self._free:
+        if self._free:
             event = self._free.pop()
             self.pool_reused += 1
             event.time = time
@@ -291,7 +268,7 @@ class EventQueue:
             event.generation += 1
         else:
             event = Event(time, PRIORITY_NORMAL, next(self._counter), action, args, label)
-            event.pooled = pooled
+            event.pooled = True
             sequence = event.sequence
         event._queue = self
         heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
@@ -326,8 +303,7 @@ class EventQueue:
     @property
     def stored(self) -> int:
         """Entries physically held: live plus lazily-cancelled corpses."""
-        wheel = self.wheel
-        return len(self._heap) + (wheel.stored if wheel is not None else 0)
+        return len(self._heap)
 
     @property
     def cancelled_fraction(self) -> float:
@@ -346,45 +322,25 @@ class EventQueue:
             self.compact()
 
     def compact(self) -> None:
-        """Rebuild the heap without corpses and prune the wheel.
+        """Rebuild the heap without corpses.
 
         Mutates the heap list in place so aliases held by an in-flight
         ``pop`` loop stay valid.
         """
         self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapify(self._heap)
-        if self.wheel is not None:
-            self.wheel.prune()
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def _sync_wheel(self) -> None:
-        """Migrate wheel entries due at or before the heap's minimum.
-
-        After this, the heap's minimum (if any) is globally minimal:
-        every entry still in the wheel fires strictly later.
-        """
-        wheel = self.wheel
-        if wheel is None or not wheel.stored:
-            return
-        heap = self._heap
-        if not heap:
-            wheel.flush_next(heap)
-        elif wheel.frontier <= heap[0][0]:
-            wheel.flush_until(heap[0][0], heap)
-
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty.
 
         Cancelled events encountered on the way are discarded silently.
         """
         heap = self._heap
-        while True:
-            self._sync_wheel()
-            if not heap:
-                return None
+        while heap:
             event = heappop(heap)[3]
             if event.cancelled:
                 continue
@@ -393,26 +349,17 @@ class EventQueue:
             # decrement the live count a second time.
             event._queue = None
             return event
+        return None
 
     def pop_due(self, until: float | None = None) -> Event | None:
         """Pop the earliest live event due at or before ``until``.
 
         Returns ``None`` when the queue is empty or the next live event
-        fires after ``until`` (that event is left in place).  This is the
-        run loop's single entry point: it fuses the peek/pop pair and the
-        wheel synchronisation into one heap access per iteration.
+        fires after ``until`` (that event is left in place).  It fuses the
+        peek/pop pair into one heap access per iteration.
         """
         heap = self._heap
-        wheel = self.wheel
-        while True:
-            # inline _sync_wheel: this runs once per executed event
-            if wheel is not None and wheel.stored:
-                if not heap:
-                    wheel.flush_next(heap)
-                elif wheel.frontier <= heap[0][0]:
-                    wheel.flush_until(heap[0][0], heap)
-            if not heap:
-                return None
+        while heap:
             entry = heap[0]
             event = entry[3]
             if event.cancelled:
@@ -424,24 +371,21 @@ class EventQueue:
             self._live -= 1
             event._queue = None
             return event
+        return None
 
     def peek_time(self) -> float | None:
         """Return the fire time of the next live event without removing it."""
         heap = self._heap
-        while True:
-            self._sync_wheel()
-            if not heap:
-                return None
+        while heap:
             if heap[0][3].cancelled:
                 heappop(heap)
                 continue
             return heap[0][0]
+        return None
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
-        if self.wheel is not None:
-            self.wheel.clear()
         self._live = 0
 
     # ------------------------------------------------------------------

@@ -4,19 +4,17 @@ The whole reproduction is built on this loop.  Nodes, channels, timers and
 protocols never sleep or poll; they schedule callbacks at absolute virtual
 times and the simulator executes them in deterministic order.
 
-The loop pulls events through :meth:`EventQueue.pop_due
-<repro.sim.events.EventQueue.pop_due>` — one heap access per iteration —
-and dispatches them as ``action(*args)``, so hot paths can schedule bound
-methods with arguments instead of allocating a closure per packet.
-Timer-class work goes through the :class:`~repro.sim.wheel.TimerWheel`
-(``schedule(..., wheel=True)``); ordering is byte-identical with the
-wheel on or off, which `tests/test_eventloop_equivalence.py` pins.
+The loop pops events off the queue's heap — one heap access per
+iteration — and dispatches them as ``action(*args)``, so hot paths can
+schedule bound methods with arguments instead of allocating a closure
+per packet.  Fire-and-forget events (``pooled=True``) go back to the
+queue's freelist after dispatch.
 
 Observability hangs off ``sim.obs`` (see :mod:`repro.obs`): when a
 profiler is enabled the loop times each event and tracks queue depth;
 when nothing is enabled the loop body pays a single ``None`` check.
-Queue health (pending count, compactions, cancelled fraction, wheel
-occupancy) is mirrored into the metrics registry at the end of each
+Queue health (pending count, compactions, cancelled fraction, pool
+reuse) is mirrored into the metrics registry at the end of each
 ``run``.
 """
 
@@ -30,18 +28,6 @@ from repro.obs import Observability
 from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL, _discarded
 from repro.sim.logging import WARNING, SimLogger
 from repro.sim.rng import RandomStreams
-from repro.sim.wheel import TimerWheel
-
-#: Module-wide default for new simulators.  The equivalence tests flip
-#: this to compare the wheel-backed loop against the plain heap; normal
-#: code never touches it.
-USE_TIMER_WHEEL = True
-
-#: Module-wide default for event pooling (``schedule(..., pooled=True)``
-#: recycling fire-and-forget events through the queue's freelist).  The
-#: packet-path equivalence tests flip this to prove the pool changes no
-#: ordering; normal code never touches it.
-USE_EVENT_POOL = True
 
 
 class SimulationError(RuntimeError):
@@ -63,21 +49,9 @@ class Simulator:
     ['tick']
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        log_level: int | None = None,
-        use_wheel: bool | None = None,
-        pool_events: bool | None = None,
-    ) -> None:
-        if use_wheel is None:
-            use_wheel = USE_TIMER_WHEEL
-        if pool_events is None:
-            pool_events = USE_EVENT_POOL
-        self.pool_events = pool_events
+    def __init__(self, *, seed: int = 0, log_level: int | None = None) -> None:
         self.now: float = 0.0
-        self.queue = EventQueue(wheel=TimerWheel() if use_wheel else None)
+        self.queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.logger = SimLogger(
             self, level=WARNING if log_level is None else log_level
@@ -98,14 +72,9 @@ class Simulator:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-        wheel: bool = False,
         pooled: bool = False,
     ) -> Event:
         """Schedule ``action(*args)`` to run ``delay`` seconds from now.
-
-        ``wheel=True`` files the event in the timer wheel (see
-        :meth:`EventQueue.push <repro.sim.events.EventQueue.push>`); use
-        it for timeouts that are usually cancelled or restarted.
 
         ``pooled=True`` marks the event fire-and-forget: the loop
         recycles it into the queue's freelist right after dispatch, so
@@ -123,8 +92,7 @@ class Simulator:
             args=args,
             priority=priority,
             label=label,
-            wheel=wheel,
-            pooled=pooled and self.pool_events,
+            pooled=pooled,
         )
 
     def schedule_at(
@@ -135,7 +103,6 @@ class Simulator:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-        wheel: bool = False,
         pooled: bool = False,
     ) -> Event:
         """Schedule ``action(*args)`` at absolute virtual ``time``."""
@@ -149,8 +116,7 @@ class Simulator:
             args=args,
             priority=priority,
             label=label,
-            wheel=wheel,
-            pooled=pooled and self.pool_events,
+            pooled=pooled,
         )
 
     # ------------------------------------------------------------------
@@ -179,10 +145,9 @@ class Simulator:
         # EventQueue.recycle below (both kept verbatim on the queue for
         # step() and external callers): at packet-path rates the two
         # call frames per event are a measurable share of the loop.
-        # Pool counters are batched into locals and flushed in the
-        # finally block; nothing reads them mid-run.
+        # Pool and profiler counters are batched into locals and flushed
+        # in the finally block; nothing reads them mid-run.
         heap = queue._heap
-        wheel = queue.wheel
         free = queue._free
         pool_max_free = queue.pool_max_free
         recycled = 0
@@ -191,125 +156,66 @@ class Simulator:
         profiler = self.obs.profiler
         if profiler is not None:
             profiler.begin_run(self.now)
+            clock = profiler.clock
+            record = profiler.record
+            by_label = profiler._by_label
+            high_water = profiler.queue_high_water
+            # Per-label accounting is inlined for known labels (dict
+            # hit); record() handles new labels and the label cap.
+            inlined_events = 0
+            inlined_busy = 0.0
         try:
-            if profiler is not None:
-                clock = profiler.clock
-                record = profiler.record
-                by_label = profiler._by_label
-                high_water = profiler.queue_high_water
-                # Per-label accounting is inlined for known labels (dict
-                # hit) and batched into locals; record() handles new
-                # labels and the label cap, and the finally block flushes
-                # the batched totals even on an exception mid-run.
-                inlined_events = 0
-                inlined_busy = 0.0
-                try:
-                    while not self._stopped:
-                        # -- inline EventQueue.pop_due(until) --
-                        while True:
-                            if wheel is not None and wheel.stored:
-                                if not heap:
-                                    wheel.flush_next(heap)
-                                elif wheel.frontier <= heap[0][0]:
-                                    wheel.flush_until(heap[0][0], heap)
-                            if not heap:
-                                event = None
-                                break
-                            entry = heap[0]
-                            event = entry[3]
-                            if event.cancelled:
-                                heappop(heap)
-                                continue
-                            if entry[0] > deadline:
-                                event = None
-                                break
-                            heappop(heap)
-                            queue._live -= 1
-                            event._queue = None
-                            break
-                        if event is None:
-                            break
-                        self.now = event.time
-                        depth = queue._live + 1
-                        if depth > high_water:
-                            high_water = depth
-                        started = clock()
-                        event.action(*event.args)
-                        seconds = clock() - started
-                        entry = by_label.get(event.label)
-                        if entry is not None:
-                            entry[0] += 1
-                            entry[1] += seconds
-                            inlined_events += 1
-                            inlined_busy += seconds
-                        else:
-                            record(event.label, seconds)
-                        if event.pooled:
-                            # -- inline EventQueue.recycle(event) --
-                            event.action = _discarded
-                            event.args = ()
-                            event.cancelled = True
-                            flen = len(free)
-                            if flen < pool_max_free:
-                                free.append(event)
-                                recycled += 1
-                                if flen >= pool_peak:
-                                    pool_peak = flen + 1
-                        executed += 1
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events} "
-                                f"(last event: {event.label or event.action!r})"
-                            )
-                finally:
-                    profiler.queue_high_water = high_water
-                    profiler.events += inlined_events
-                    profiler.busy_seconds += inlined_busy
-            else:
-                while not self._stopped:
-                    # -- inline EventQueue.pop_due(until) --
-                    while True:
-                        if wheel is not None and wheel.stored:
-                            if not heap:
-                                wheel.flush_next(heap)
-                            elif wheel.frontier <= heap[0][0]:
-                                wheel.flush_until(heap[0][0], heap)
-                        if not heap:
-                            event = None
-                            break
-                        entry = heap[0]
-                        event = entry[3]
-                        if event.cancelled:
-                            heappop(heap)
-                            continue
-                        if entry[0] > deadline:
-                            event = None
-                            break
+            while not self._stopped:
+                # -- inline EventQueue.pop_due(until) --
+                event = None
+                while heap:
+                    entry = heap[0]
+                    if entry[3].cancelled:
                         heappop(heap)
+                        continue
+                    if entry[0] <= deadline:
+                        heappop(heap)
+                        event = entry[3]
                         queue._live -= 1
                         event._queue = None
-                        break
-                    if event is None:
-                        break
-                    self.now = event.time
+                    break
+                if event is None:
+                    break
+                self.now = event.time
+                if profiler is None:
                     event.action(*event.args)
-                    if event.pooled:
-                        # -- inline EventQueue.recycle(event) --
-                        event.action = _discarded
-                        event.args = ()
-                        event.cancelled = True
-                        flen = len(free)
-                        if flen < pool_max_free:
-                            free.append(event)
-                            recycled += 1
-                            if flen >= pool_peak:
-                                pool_peak = flen + 1
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(last event: {event.label or event.action!r})"
-                        )
+                else:
+                    depth = queue._live + 1
+                    if depth > high_water:
+                        high_water = depth
+                    started = clock()
+                    event.action(*event.args)
+                    seconds = clock() - started
+                    stats = by_label.get(event.label)
+                    if stats is not None:
+                        stats[0] += 1
+                        stats[1] += seconds
+                        inlined_events += 1
+                        inlined_busy += seconds
+                    else:
+                        record(event.label, seconds)
+                if event.pooled:
+                    # -- inline EventQueue.recycle(event) --
+                    event.action = _discarded
+                    event.args = ()
+                    event.cancelled = True
+                    flen = len(free)
+                    if flen < pool_max_free:
+                        free.append(event)
+                        recycled += 1
+                        if flen >= pool_peak:
+                            pool_peak = flen + 1
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} "
+                        f"(last event: {event.label or event.action!r})"
+                    )
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
@@ -319,6 +225,9 @@ class Simulator:
             if pool_peak > queue.pool_high_water:
                 queue.pool_high_water = pool_peak
             if profiler is not None:
+                profiler.queue_high_water = high_water
+                profiler.events += inlined_events
+                profiler.busy_seconds += inlined_busy
                 profiler.end_run(self.now)
             self._publish_queue_metrics()
 
@@ -367,7 +276,7 @@ class Simulator:
     # Observability
     # ------------------------------------------------------------------
     def _publish_queue_metrics(self) -> None:
-        """Mirror queue/wheel health into the metrics registry.
+        """Mirror queue health into the metrics registry.
 
         Called once per ``run``, never per event, so the cost is noise.
         """
@@ -381,21 +290,9 @@ class Simulator:
             round(queue.cancelled_fraction, 6),
             round(queue.peak_cancelled_fraction, 6),
         )
-        wheel = queue.wheel
-        if wheel is not None:
-            metrics.gauge("sim.wheel.pending").pin(
-                wheel.stored, wheel.stored_high_water
-            )
-            metrics.gauge("sim.wheel.flushed").set(wheel.flushed)
-            metrics.gauge("sim.wheel.pruned").set(wheel.pruned)
         metrics.gauge("sim.pool.recycled").set(queue.pool_recycled)
         metrics.gauge("sim.pool.reused").set(queue.pool_reused)
         metrics.gauge("sim.pool.high_water").set(queue.pool_high_water)
-        from repro.net import frozen  # deferred: sim must not hard-import net
-
-        intern_stats = frozen.stats()
-        metrics.gauge("net.packet.interned").set(intern_stats["interned"])
-        metrics.gauge("net.packet.cow_copies").set(intern_stats["cow_copies"])
 
     # ------------------------------------------------------------------
     # Convenience

@@ -4,10 +4,8 @@ AODV and BlackDP are full of timeouts (RREP wait, Hello intervals, route
 lifetimes, verification-table expiry); these helpers wrap the raw event
 handles with restart/cancel semantics so protocol code stays readable.
 
-Timers schedule through the simulator's timer wheel (``wheel=True``):
-restart-heavy timeouts file in O(1) buckets instead of paying a heap
-push per restart, and corpses cancelled in a bucket never touch the
-heap at all.  Firing order is unchanged — see :mod:`repro.sim.events`.
+Restarting a timer cancels its pending event lazily; the queue compacts
+itself once corpses dominate (see :mod:`repro.sim.events`).
 """
 
 from __future__ import annotations
@@ -54,9 +52,7 @@ class Timer:
         """(Re)arm the timer.  An already running timer is restarted."""
         self.cancel()
         use_delay = self.delay if delay is None else delay
-        self._event = self._simulator.schedule(
-            use_delay, self._fire, label=self.label, wheel=True
-        )
+        self._event = self._simulator.schedule(use_delay, self._fire, label=self.label)
 
     def cancel(self) -> None:
         """Disarm the timer if it is pending; safe to call when idle."""
@@ -105,7 +101,7 @@ class PeriodicTimer:
         """Begin the periodic schedule; restarting resets the phase."""
         self.cancel()
         self._event = self._simulator.schedule(
-            self._first_delay, self._fire, label=self.label, wheel=True
+            self._first_delay, self._fire, label=self.label
         )
 
     def cancel(self) -> None:
@@ -117,6 +113,6 @@ class PeriodicTimer:
     def _fire(self) -> None:
         self.fired += 1
         self._event = self._simulator.schedule(
-            self.interval, self._fire, label=self.label, wheel=True
+            self.interval, self._fire, label=self.label
         )
         self._action()

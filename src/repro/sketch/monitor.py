@@ -142,7 +142,7 @@ class AggregateMonitor:
         self._stopped = False
         self.rsu.network.add_monitor(self.rsu, self._on_overhear)
         self._timer = self.rsu.sim.schedule(
-            cfg.epoch, self._epoch_tick, label="sketch epoch", wheel=True
+            cfg.epoch, self._epoch_tick, label="sketch epoch"
         )
 
     def _sketch(self) -> CountMinSketch:
@@ -260,7 +260,7 @@ class AggregateMonitor:
         self.epoch_origins.reset()
         self._publish_gauges(len(items))
         self._timer = self.rsu.sim.schedule(
-            cfg.epoch, self._epoch_tick, label="sketch epoch", wheel=True
+            cfg.epoch, self._epoch_tick, label="sketch epoch"
         )
 
     def _convict(self, origin: str, rate: float) -> None:

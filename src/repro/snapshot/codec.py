@@ -21,9 +21,12 @@ lacks: versioning, integrity checking, and inspectable metadata.
 
 Schema history
 --------------
-1: initial format (PR 5).  Bump whenever the shape of pickled world
-   state changes incompatibly; old snapshots are then *rejected* with
+1: initial format.  Bump whenever the shape of pickled world state
+   changes incompatibly; old snapshots are then *rejected* with
    :class:`SnapshotSchemaError` instead of deserializing garbage.
+2: the event queue lost its timer wheel and the process globals lost
+   the frozen-packet counters; a schema-1 blob pickles classes that no
+   longer exist.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -197,7 +197,6 @@ class VehicleNode(Node):
             delay,
             self._cross_boundary,
             label=f"{self.node_id} crossing",
-            wheel=True,
         )
 
     def _cross_boundary(self) -> None:

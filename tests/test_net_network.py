@@ -203,8 +203,8 @@ def test_in_range_matches_distance_threshold(x):
 # ----------------------------------------------------------------------
 # Promiscuous monitors: registration is re-checked at delivery time
 # ----------------------------------------------------------------------
-def _monitor_setup(**config):
-    sim, net = make_net(**config)
+def _monitor_setup():
+    sim, net = make_net()
     sender = add_node(sim, net, "sender", 0)
     add_node(sim, net, "receiver", 500)
     watcher = add_node(sim, net, "watcher", 200)
@@ -214,14 +214,10 @@ def _monitor_setup(**config):
     return sim, net, sender, watcher, callback, overheard
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_monitor_removed_in_flight_never_hears(batch):
+def test_monitor_removed_in_flight_never_hears():
     """A monitor removed while the overhear delivery is still in the air
-    must not receive it — registration is re-checked on arrival (both
-    the batched entry-tuple path and the legacy per-monitor path)."""
-    sim, net, sender, watcher, _callback, overheard = _monitor_setup(
-        batch_broadcast=batch
-    )
+    must not receive it — registration is re-checked on arrival."""
+    sim, net, sender, watcher, _callback, overheard = _monitor_setup()
     sender.send(Packet(src="sender", dst="receiver"))
     # The overhear is in flight (per_hop_delay away); detach before it
     # lands.  Delay 0 sorts ahead of the radio delay in the event queue.
@@ -230,11 +226,8 @@ def test_monitor_removed_in_flight_never_hears(batch):
     assert overheard == []
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_monitor_present_at_arrival_hears(batch):
-    sim, net, sender, _watcher, _callback, overheard = _monitor_setup(
-        batch_broadcast=batch
-    )
+def test_monitor_present_at_arrival_hears():
+    sim, net, sender, _watcher, _callback, overheard = _monitor_setup()
     sender.send(Packet(src="sender", dst="receiver"))
     sim.run()
     assert len(overheard) == 1

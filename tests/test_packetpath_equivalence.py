@@ -1,12 +1,10 @@
-"""Golden-trace equivalence for the zero-allocation packet path.
+"""Event pooling: snapshot safety and freelist mechanics.
 
 Event pooling recycles delivery events through a freelist; that must be
-invisible to every seeded experiment.  These tests run the Table I
-attack scenarios with the pool on (default) and off
-(``USE_EVENT_POOL=False``, which reproduces allocate-per-delivery
-exactly) and require byte-identical trace JSONL and identical
-summaries; a snapshot/restore mid-trial with pooling live must likewise
-match the never-paused run, pool counters included.
+invisible to every seeded experiment (``tests/test_golden_traces.py``
+pins the traces).  A snapshot/restore mid-trial with pooling live must
+match the never-paused run, pool counters included, and a steady-state
+beacon mesh must allocate a flat amount of memory once the pool is warm.
 
 The pool unit tests pin the safety story: generation counters make late
 cancellations of recycled events no-ops, tombstoned freelist events
@@ -14,54 +12,21 @@ ignore ``cancel()``, and cancelling an event *after* it fired no longer
 perturbs the live-event accounting.
 """
 
-import itertools
+import gc
 import pickle
+import tracemalloc
 
-import pytest
-
-import repro.net.packets as packets_module
-import repro.sim.simulator as simulator_module
-from repro.experiments.config import (
-    ATTACK_COOPERATIVE,
-    ATTACK_NONE,
-    ATTACK_SINGLE,
-    TrialConfig,
-)
-from repro.experiments.executor import summarize_trial
+from repro.experiments.config import ATTACK_SINGLE, TrialConfig
 from repro.experiments.trial import TrialSession, begin_trial, run_trial
+from repro.net import ChannelConfig, Network, Node
+from repro.routing.protocol import AodvConfig, AodvProtocol
 from repro.sim import Simulator
 from repro.sim.events import EventQueue
 
-
-def _reset_packet_uids():
-    packets_module._packet_ids = itertools.count(1)
-
-
-def _run_table1_trial(monkeypatch, *, attack, cluster, pooled):
-    _reset_packet_uids()
-    monkeypatch.setattr(simulator_module, "USE_EVENT_POOL", pooled)
-    config = TrialConfig(
-        seed=7, attack=attack, attacker_cluster=cluster, trace=True
-    )
-    result = run_trial(config)
-    trace = "\n".join(event.to_json() for event in result.trace_events)
-    return trace, summarize_trial(config, result).to_dict()
-
-
-@pytest.mark.parametrize(
-    "attack,cluster",
-    [(ATTACK_SINGLE, 4), (ATTACK_COOPERATIVE, 8), (ATTACK_NONE, 4)],
-)
-def test_pooling_is_trace_identical_on_table1_scenarios(
-    monkeypatch, attack, cluster
-):
-    pooled = _run_table1_trial(
-        monkeypatch, attack=attack, cluster=cluster, pooled=True
-    )
-    unpooled = _run_table1_trial(
-        monkeypatch, attack=attack, cluster=cluster, pooled=False
-    )
-    assert pooled == unpooled
+#: Steady-state allocation ceiling for the hello mesh (bytes).  Pooled
+#: per-event allocations are reused, so growth after warm-up is bounded
+#: by bookkeeping noise, not by event count.
+FLAT_MEMORY_BUDGET = 512 * 1024
 
 
 def _result_bytes(result) -> bytes:
@@ -73,11 +38,10 @@ def _result_bytes(result) -> bytes:
     return pickle.dumps(payload, protocol=4)
 
 
-def test_snapshot_restore_mid_trial_with_pooling_live(monkeypatch):
+def test_snapshot_restore_mid_trial_with_pooling_live():
     """Pause/snapshot/restore/finish with the pool engaged equals the
     never-paused run — freelist occupancy and pool counters included
     (the queue pickles its freelist as a count and rebuilds blanks)."""
-    monkeypatch.setattr(simulator_module, "USE_EVENT_POOL", True)
     config = TrialConfig(
         seed=42, attack=ATTACK_SINGLE, attacker_cluster=5, metrics=True
     )
@@ -92,6 +56,35 @@ def test_snapshot_restore_mid_trial_with_pooling_live(monkeypatch):
     assert resumed.metrics == straight.metrics
     # the guarantee is meaningful only if pooling actually engaged
     assert straight.metrics["sim.pool.reused"]["value"] > 0
+
+
+def test_hello_mesh_steady_state_memory_is_flat():
+    """100 vehicles beaconing once a second on a 10 km strip for 9
+    virtual seconds: after the first third has filled the freelist and
+    warmed every cache, the remainder may grow by at most 512 KiB."""
+    sim = Simulator(seed=42)
+    net = Network(sim, ChannelConfig(jitter=0.0))
+    placement = sim.rng("bench-placement")
+    for i in range(100):
+        node = Node(
+            sim, f"veh-{i}",
+            position=(placement.uniform(0.0, 10_000.0), 0.0),
+            transmission_range=500.0,
+        )
+        net.attach(node)
+        AodvProtocol(node, AodvConfig(enable_hello=True, hello_interval=1.0))
+    tracemalloc.start()
+    try:
+        sim.run(until=3.0)
+        gc.collect()
+        at_warmup, _ = tracemalloc.get_traced_memory()
+        sim.run(until=9.0)
+        gc.collect()
+        at_end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.queue.pool_reused > 0
+    assert at_end - at_warmup <= FLAT_MEMORY_BUDGET
 
 
 # ----------------------------------------------------------------------

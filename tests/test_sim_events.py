@@ -8,7 +8,6 @@ from repro.sim.events import (
     PRIORITY_LOW,
     EventQueue,
 )
-from repro.sim.wheel import TimerWheel
 
 
 def test_pop_returns_events_in_time_order():
@@ -87,15 +86,6 @@ def test_clear_empties_queue():
     assert not q
 
 
-def test_clear_empties_wheel_backed_queue():
-    q = EventQueue(wheel=TimerWheel())
-    q.push(1.0, lambda: None, wheel=True)
-    q.push(2.0, lambda: None)
-    q.clear()
-    assert len(q) == 0
-    assert q.pop() is None
-
-
 def test_event_args_passed_to_action():
     q = EventQueue()
     hits = []
@@ -147,17 +137,16 @@ def test_compaction_triggers_above_half_cancelled():
 
 
 def test_compaction_preserves_pop_order():
-    q = EventQueue(wheel=TimerWheel(granularity=0.5, num_slots=8))
+    q = EventQueue()
     survivors = []
     corpses = []
     for i in range(_COMPACT_MIN_STORED * 2):
-        # interleave heap and wheel entries, same times, varied priorities
+        # repeated times, varied priorities
         event = q.push(
             float(i % 7),
             lambda: None,
             priority=(i % 3) - 1,
             label=f"e{i}",
-            wheel=(i % 2 == 0),
         )
         (survivors if i % 3 == 0 else corpses).append(event)
     expected = sorted(

@@ -160,6 +160,20 @@ def test_periodic_timer_restart_from_action_keeps_single_chain():
     assert hits == [2.0, 4.0, 6.0]
 
 
+def test_timer_restart_storm_stays_bounded():
+    """A timer restarted thousands of times must not grow the queue:
+    every restart cancels the previous event, and compaction sheds the
+    corpses, so storage stays O(live events)."""
+    sim = Simulator()
+    timer = Timer(sim, 5.0, lambda: None)
+    for _ in range(5000):
+        timer.start()
+    assert sim.queue.stored < 100
+    assert sim.queue.compactions > 0
+    sim.run()
+    assert timer.fired == 1
+
+
 def test_timer_fires_exactly_at_run_until_boundary():
     sim = Simulator()
     hits = []

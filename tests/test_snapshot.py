@@ -5,6 +5,9 @@ The end-to-end golden-trace guarantee lives in
 ``tests/test_snapshot_equivalence.py``; this file covers the pieces.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.world import build_world
@@ -81,6 +84,24 @@ def test_restore_rejects_other_schema(monkeypatch):
     blob = snapshot(world)
     monkeypatch.setattr(codec, "SNAPSHOT_SCHEMA", SNAPSHOT_SCHEMA + 1)
     with pytest.raises(SnapshotSchemaError, match="re-create the snapshot"):
+        restore(blob)
+
+
+def test_schema_1_snapshot_is_rejected_before_unpickling():
+    """Schema-1 blobs pickle classes from modules that no longer exist;
+    restore must refuse them by header with a typed error, not surface
+    a raw ModuleNotFoundError from unpickling."""
+    payload = b"crepro.sim.removed\nGone\n."  # GLOBAL of a missing module
+    header = {
+        "schema": 1,
+        "codec": "pickle",
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    header_blob = json.dumps(header).encode()
+    blob = codec.MAGIC + len(header_blob).to_bytes(4, "big") + header_blob + payload
+    assert snapshot_info(blob).schema == 1
+    with pytest.raises(SnapshotSchemaError, match="schema 1 is not the current 2"):
         restore(blob)
 
 

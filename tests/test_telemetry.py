@@ -148,7 +148,7 @@ def test_recorder_validates_arguments():
 def _reset_packet_uids() -> None:
     # Packet uids come from a process-global counter; rewind it so two
     # runs in one process emit comparable traces (same pattern as
-    # tests/test_eventloop_equivalence.py).
+    # tests/test_golden_traces.py).
     packets_module._packet_ids = itertools.count(1)
 
 
@@ -182,9 +182,10 @@ def test_sampler_survives_snapshot_restore():
     resumed = TrialSession.restore(session.snapshot()).finish()
 
     def protocol_series(result) -> dict:
-        # Queue/wheel depth gauges legitimately differ across a
-        # snapshot boundary (the wheel is rebuilt on restore); the
-        # guarantee covers everything the *simulation* produced.
+        # Queue and pool gauges are published when a run() call
+        # returns, so splitting the run at the snapshot publishes them
+        # earlier; the guarantee covers everything the *simulation*
+        # produced.
         return {
             name: points
             for name, points in result.series.items()

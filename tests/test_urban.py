@@ -168,10 +168,11 @@ def test_urban_world_builds_complete_coverage():
     # Every street point is covered by some RSU.
     for point in world.grid.intersections():
         assert world.coverage.cluster_at(point) is not None
-    # The backbone is connected.
-    import networkx as nx
-
-    assert nx.is_connected(world.net.backbone)
+    # The backbone is connected: every RSU has a path to every other.
+    addresses = [rsu.address for rsu in world.rsus]
+    for src in addresses:
+        for dst in addresses:
+            assert world.net.backbone_path_length(src, dst) is not None
 
 
 def test_urban_vehicle_joins_and_rejoins_clusters():
