@@ -491,8 +491,7 @@ def run_trial_arms(config: TrialConfig, arms: dict) -> dict[str, TrialResult]:
     treatment it runs under.  Each arm's result is identical to a cold
     ``run_trial`` with that treatment (the treatment config is never
     consulted before verification starts), but the N-1 redundant
-    warm-ups are skipped — the amortization ``benchmarks/
-    bench_snapshot.py`` measures.
+    warm-ups are skipped: ``begin_trial`` runs once however many arms.
     """
     import dataclasses
 

@@ -53,7 +53,9 @@ PASSIVE = ArenaConfig(
 )
 
 
-def arena_trial(attack: str, detector: str, *, seed: int = 11, **kwargs):
+def arena_trial(
+    attack: str, detector: str, *, seed: int = 11, trace: bool = True, **kwargs
+):
     return run_trial(
         TrialConfig(
             seed=seed,
@@ -61,7 +63,7 @@ def arena_trial(attack: str, detector: str, *, seed: int = 11, **kwargs):
             attacker_cluster=5,
             table=SMALL,
             arena=ArenaConfig(detectors=(detector,), **kwargs),
-            trace=True,
+            trace=trace,
         )
     )
 
@@ -147,6 +149,11 @@ def test_flood_caught_by_sketch_monitors_only():
     # detector is blind; the line-rate sketch monitors convict it.
     result = arena_trial("flood", "sketch")
     assert result.detected
+    assert not result.false_positive
+    # The examiner's verdict needs no trace, and a flood trial runs
+    # markedly faster without one.
+    result = arena_trial("flood", "examiner", trace=False)
+    assert not result.detected
     assert not result.false_positive
 
 

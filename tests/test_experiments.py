@@ -7,6 +7,7 @@ from repro.experiments.__main__ import main as cli_main
 from repro.experiments.figure4 import check_expected_shape, run_figure4
 from repro.experiments.figure5 import bands, run_figure5
 from repro.experiments.trial import choose_destination_cluster, sample_policy
+from repro.experiments.world import build_world
 from repro.attacks import AttackerPolicy
 from repro.sim import Simulator
 
@@ -23,6 +24,18 @@ def test_table1_matches_paper():
     assert table.renewal_zone == (8, 9, 10)
     assert table.trials == 150
     assert len(table.rows()) == 7
+    # The stood-up world matches every Table I row, and every vehicle
+    # has joined a cluster within the first second.
+    world = build_world(seed=1, highway=table.make_highway())
+    world.populate(table.num_vehicles)
+    world.sim.run(until=1.0)
+    assert len(world.rsus) == table.num_rsus
+    assert len(world.vehicles) == table.num_vehicles
+    assert world.highway.length == table.highway_length
+    assert world.highway.width == table.highway_width
+    assert world.highway.cluster_length == table.cluster_length
+    assert all(v.transmission_range == table.transmission_range for v in world.vehicles)
+    assert all(v.current_cluster is not None for v in world.vehicles)
 
 
 def test_trial_config_validation():
@@ -118,6 +131,11 @@ def test_figure4_small_run_matches_shape():
     assert by_cluster[2].false_positive_rate == 0.0
     assert by_cluster[9].false_positive_rate == 0.0
     assert all(0.0 <= row.accuracy <= 1.0 for row in rows)
+    # Both series over every cluster at 6 trials per point hold the
+    # paper's shape; `blackdp figure4` runs the full 150.
+    rows = run_figure4(trials=6)
+    assert len(rows) == 20
+    assert check_expected_shape(rows) == []
 
 
 def test_figure4_shape_checker_flags_bad_rows():

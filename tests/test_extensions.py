@@ -163,35 +163,41 @@ def test_conviction_flushes_poisoned_caches_network_wide():
 # PDR experiment
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def pdr_rows():
+def pdr_grids():
+    """(attack, defense) -> row, for a 20-packet and the default 40-packet
+    stream."""
     from repro.experiments.pdr import run_pdr
 
-    return run_pdr(packets=20)
+    return [
+        {(r.attack, r.defense): r for r in run_pdr(packets=packets)}
+        for packets in (20, 40)
+    ]
 
 
-def test_pdr_blackdp_recovers_routing_attacks(pdr_rows):
-    cells = {(r.attack, r.defense): r for r in pdr_rows}
-    assert cells[("none", "plain-aodv")].pdr == 1.0
-    assert cells[("single", "plain-aodv")].pdr == 0.0
-    assert cells[("single", "blackdp")].pdr == 1.0
-    assert cells[("cooperative", "plain-aodv")].pdr == 0.0
-    assert cells[("cooperative", "blackdp")].pdr == 1.0
-    assert cells[("grayhole-routing", "blackdp")].pdr == 1.0
+def test_pdr_blackdp_recovers_routing_attacks(pdr_grids):
+    for cells in pdr_grids:
+        assert cells[("none", "plain-aodv")].pdr == 1.0
+        assert cells[("single", "plain-aodv")].pdr == 0.0
+        assert cells[("single", "blackdp")].pdr == 1.0
+        assert cells[("cooperative", "plain-aodv")].pdr == 0.0
+        assert cells[("cooperative", "blackdp")].pdr == 1.0
+        assert cells[("grayhole-routing", "blackdp")].pdr == 1.0
 
 
-def test_pdr_stealth_grayhole_is_documented_limitation(pdr_rows):
-    cells = {(r.attack, r.defense): r for r in pdr_rows}
-    stealth_plain = cells[("grayhole-stealth", "plain-aodv")].pdr
-    stealth_blackdp = cells[("grayhole-stealth", "blackdp")].pdr
-    assert 0.0 < stealth_plain < 1.0
-    # BlackDP is a routing-layer defence: the stealth grayhole's damage
-    # is unchanged (this is asserted, not hidden).
-    assert abs(stealth_blackdp - stealth_plain) < 0.35
+def test_pdr_stealth_grayhole_is_documented_limitation(pdr_grids):
+    for cells in pdr_grids:
+        stealth_plain = cells[("grayhole-stealth", "plain-aodv")].pdr
+        stealth_blackdp = cells[("grayhole-stealth", "blackdp")].pdr
+        assert 0.0 < stealth_plain < 1.0
+        # BlackDP is a routing-layer defence: the stealth grayhole's
+        # damage is unchanged (this is asserted, not hidden).
+        assert stealth_blackdp < 1.0
+        assert abs(stealth_blackdp - stealth_plain) < 0.35
 
 
-def test_pdr_watchdog_extension_recovers_stealth_grayhole(pdr_rows):
-    cells = {(r.attack, r.defense): r for r in pdr_rows}
-    stealth_blackdp = cells[("grayhole-stealth", "blackdp")]
-    watchdog = cells[("grayhole-stealth", "blackdp+wd")]
-    assert watchdog.pdr > stealth_blackdp.pdr
-    assert watchdog.dropped_by_attacker < stealth_blackdp.dropped_by_attacker
+def test_pdr_watchdog_extension_recovers_stealth_grayhole(pdr_grids):
+    for cells in pdr_grids:
+        stealth_blackdp = cells[("grayhole-stealth", "blackdp")]
+        watchdog = cells[("grayhole-stealth", "blackdp+wd")]
+        assert watchdog.pdr > stealth_blackdp.pdr
+        assert watchdog.dropped_by_attacker < stealth_blackdp.dropped_by_attacker

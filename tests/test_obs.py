@@ -400,13 +400,3 @@ def test_cli_trial_profile_smoke(tmp_path, capsys):
     assert trace_path.exists()
     events = TraceCollector.read_jsonl(trace_path)
     assert events
-
-
-def test_bench_baseline_recorded():
-    from pathlib import Path
-
-    bench = json.loads(
-        (Path(__file__).resolve().parent.parent / "BENCH_obs.json").read_text()
-    )
-    assert bench["events_per_sec"] > 0
-    assert bench["events"] > 0

@@ -105,7 +105,7 @@ def test_detection_still_correct_under_processing_delay():
 def test_congestion_sweep_shape():
     from repro.experiments.congestion import run_congestion_sweep
 
-    rows = run_congestion_sweep(bursts=(1, 10))
+    rows = run_congestion_sweep(bursts=(1, 5, 10, 15, 30))
     cells = {(row.fog, row.reports): row for row in rows}
     # Without fog, a 10-report burst is clearly slower than a single one.
     assert cells[(False, 10)].mean_latency > cells[(False, 1)].mean_latency * 2
@@ -113,3 +113,9 @@ def test_congestion_sweep_shape():
     assert cells[(True, 10)].mean_latency < cells[(False, 10)].mean_latency
     assert cells[(True, 10)].offloaded > 0
     assert cells[(True, 10)].max_queue <= 4
+    # Latency grows monotonically with the burst on the RSU's one core,
+    # and plateaus once overflow authentication moves to the fog node.
+    latency = {key: row.mean_latency for key, row in cells.items()}
+    assert latency[(False, 30)] > latency[(False, 15)] > latency[(False, 5)]
+    assert latency[(True, 30)] < latency[(False, 30)] / 2
+    assert latency[(True, 30)] < latency[(True, 5)] * 2

@@ -7,8 +7,8 @@ allocators are rewound), and running to completion must be
 records, every address set — and identical observability metrics.
 
 Checked for all three attack scenarios, at pause points both inside the
-warm-up and mid-verification, plus the fork-at-time arm equivalence and
-a stale-schema rejection.
+warm-up and mid-verification, plus the fork-at-time arm equivalence (one
+warm-up however many arms) and a stale-schema rejection.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from repro.experiments.config import (
     ATTACK_SINGLE,
     TrialConfig,
 )
+from repro.experiments import trial as trial_module
 from repro.experiments.trial import (
     TrialSession,
     begin_trial,
@@ -96,16 +97,29 @@ def test_double_restore_from_one_blob_is_deterministic():
     assert result_bytes(first) == result_bytes(second)
 
 
-def test_fork_arms_match_cold_runs():
+def test_fork_arms_match_cold_runs(monkeypatch):
     base = TrialConfig(seed=7, attack=ATTACK_SINGLE, attacker_cluster=5)
-    treatment = dataclasses.replace(base.blackdp, inter_probe_delay=1.0)
+    treatments = {
+        "base": base.blackdp,
+        "slow": dataclasses.replace(base.blackdp, inter_probe_delay=1.0),
+        "slower": dataclasses.replace(base.blackdp, inter_probe_delay=2.0),
+    }
 
-    arms = run_trial_arms(base, {"base": base.blackdp, "slow": treatment})
+    # Every arm forks the one warmed-up world: a single begin_trial.
+    begun = []
 
-    cold_base = run_trial(base)
-    cold_slow = run_trial(dataclasses.replace(base, blackdp=treatment))
-    assert result_bytes(arms["base"]) == result_bytes(cold_base)
-    assert result_bytes(arms["slow"]) == result_bytes(cold_slow)
+    def counting_begin(config):
+        begun.append(config)
+        return begin_trial(config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trial_module, "begin_trial", counting_begin)
+        arms = run_trial_arms(base, treatments)
+    assert len(begun) == 1
+
+    for name, treatment in treatments.items():
+        cold = run_trial(dataclasses.replace(base, blackdp=treatment))
+        assert result_bytes(arms[name]) == result_bytes(cold), name
     # The treatment is real: the arms diverge from each other.
     assert result_bytes(arms["base"]) != result_bytes(arms["slow"])
 
