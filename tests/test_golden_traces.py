@@ -14,6 +14,7 @@ To re-derive a digest after an intended behaviour change, call the
 ``_*_digests`` helpers directly and paste the new values.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -50,6 +51,19 @@ def _trial_digests(config: TrialConfig) -> tuple[str, str]:
     trace = "\n".join(event.to_json() for event in result.trace_events)
     summary = json.dumps(summarize_trial(config, result).to_dict(), sort_keys=True)
     return _sha256(trace), _sha256(summary)
+
+
+def _metric_digests(config: TrialConfig) -> tuple[str, str]:
+    """``(metrics, series)`` digests of one trial with metrics and the
+    1 s sampler on: the end-of-run registry snapshot and every sampled
+    series with its tick times."""
+    _reset_packet_uids()
+    result = run_trial(
+        dataclasses.replace(config, metrics=True, sample_interval=1.0)
+    )
+    metrics = json.dumps(result.metrics, sort_keys=True)
+    series = json.dumps((result.series_times, result.series))
+    return _sha256(metrics), _sha256(series)
 
 
 def _hello_mesh_digests() -> tuple[str, int, str]:
@@ -137,3 +151,40 @@ def test_arena_flood_sketch_cell_matches_golden_digests():
         "flood", "sketch", base_seed=1, trials=1, num_vehicles=20
     )
     assert _trial_digests(config) == ARENA_FLOOD_SKETCH_GOLDEN
+
+
+#: ``(attack, attacker cluster) -> (metrics sha256, series sha256)`` at
+#: seed 7 with ``metrics=True, sample_interval=1.0``.
+TABLE1_METRICS_GOLDEN = {
+    (ATTACK_SINGLE, 4): (
+        "08c8822ef7cec3a9fca3cbe34ae8fc4bb60999a69f77e40a49f5f23610fa60a6",
+        "e92b76412757b151223e24de58182b18404ada80bd4bd28d21a74bf9493d1833",
+    ),
+    (ATTACK_COOPERATIVE, 8): (
+        "76cf165b0ff90f82681d63487ac2004586d2e614c7746ebc1856a9384637c8bc",
+        "b5c9bc1ce3a6ca905ccd4f39de07be66079ff9b4af4ce7a17d3b934d48ba7fba",
+    ),
+    (ATTACK_NONE, 4): (
+        "9021e3d8ba37f3c2e2e2f208ceaba18fc4226ef87fa95310a3918acdf18adf06",
+        "78afac0744b1aa37923bbcd735954fb3a6d57d2b5f383b61c24c14e7acea9868",
+    ),
+}
+
+#: The 20-vehicle ``flood × sketch`` arena cell with metrics on.
+ARENA_FLOOD_SKETCH_METRICS_GOLDEN = (
+    "7953eb67d27f950d7105a1dd2375e2e12455e834fb41a75ea59e3079d2184a8e",
+    "5ac15598f25781ad7029841aad688c77aef4876dfc146d6569ee9a52be92896d",
+)
+
+
+@pytest.mark.parametrize("attack,cluster", sorted(TABLE1_METRICS_GOLDEN))
+def test_table1_trial_metrics_match_golden_digests(attack, cluster):
+    config = TrialConfig(seed=7, attack=attack, attacker_cluster=cluster)
+    assert _metric_digests(config) == TABLE1_METRICS_GOLDEN[(attack, cluster)]
+
+
+def test_arena_flood_sketch_cell_metrics_match_golden_digests():
+    (config,) = cell_configs(
+        "flood", "sketch", base_seed=1, trials=1, num_vehicles=20
+    )
+    assert _metric_digests(config) == ARENA_FLOOD_SKETCH_METRICS_GOLDEN
