@@ -1,12 +1,11 @@
-"""Analysis and instrumentation helpers.
+"""Analysis helpers.
 
-- :class:`~repro.analysis.sequence.SequenceTracer` records every
-  transmission in a simulation;
-- :func:`~repro.analysis.sequence.render_sequence` turns a recorded
-  exchange into an ASCII sequence diagram (the message ladders in
+- :func:`~repro.analysis.sequence.render_sequence` turns the
+  ``net.send``/``net.backbone_send`` events of the obs trace into an
+  ASCII sequence diagram (the message ladders in
   docs/protocol-walkthrough.md, generated from a live run).
 """
 
-from repro.analysis.sequence import SequenceTracer, TraceEvent, render_sequence
+from repro.analysis.sequence import render_sequence
 
-__all__ = ["SequenceTracer", "TraceEvent", "render_sequence"]
+__all__ = ["render_sequence"]

@@ -1,8 +1,7 @@
-"""Protocol tracing and ASCII sequence diagrams.
+"""ASCII sequence diagrams from the structured trace.
 
-A :class:`SequenceTracer` taps the network and records every
-transmission — radio and backbone — as :class:`TraceEvent` rows.
-:func:`render_sequence` lays chosen participants out as lifelines and
+:func:`render_sequence` takes the ``net.send``/``net.backbone_send``
+events of the obs trace, lays chosen participants out as lifelines and
 draws each message as an arrow between them, producing diagrams like::
 
     t(s)        v1            rsu-1          rsu-2            bh
@@ -16,75 +15,10 @@ changes and for generating walkthrough artefacts from live runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.network import Network
-    from repro.net.packets import Packet
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded transmission."""
-
-    time: float
-    src: str
-    dst: str
-    kind: str
-    transport: str  # "air" | "wire"
-
-
-class SequenceTracer:
-    """Record transmissions from a network, optionally filtered."""
-
-    def __init__(
-        self,
-        network: "Network",
-        *,
-        kinds: set[str] | None = None,
-        predicate: Callable[["Packet"], bool] | None = None,
-        capacity: int = 50_000,
-    ) -> None:
-        self.network = network
-        self.kinds = kinds
-        self.predicate = predicate
-        self.capacity = capacity
-        self.events: list[TraceEvent] = []
-        self._tap = self._record
-        network.taps.append(self._tap)
-
-    def stop(self) -> None:
-        if self._tap in self.network.taps:
-            self.network.taps.remove(self._tap)
-
-    def _record(self, packet: "Packet", transport: str) -> None:
-        if len(self.events) >= self.capacity:
-            return
-        if self.kinds is not None and packet.kind not in self.kinds:
-            return
-        if self.predicate is not None and not self.predicate(packet):
-            return
-        self.events.append(
-            TraceEvent(
-                time=self.network.sim.now,
-                src=packet.src,
-                dst=packet.dst,
-                kind=packet.kind,
-                transport=transport,
-            )
-        )
-
-    def involving(self, addresses: set[str]) -> list[TraceEvent]:
-        """Events whose endpoints are both in (or broadcast into)
-        ``addresses``."""
-        return [
-            event
-            for event in self.events
-            if event.src in addresses
-            and (event.dst in addresses or event.dst == "*")
-        ]
-
+    from repro.obs.trace import TraceEvent
 
 #: default short names so labels fit inside one-column arrow spans
 KIND_ABBREVIATIONS = {
@@ -104,16 +38,19 @@ KIND_ABBREVIATIONS = {
 
 
 def render_sequence(
-    events: list[TraceEvent],
+    events: list["TraceEvent"],
     participants: list[str],
     *,
     labels: dict[str, str] | None = None,
     kind_labels: dict[str, str] | None = None,
     column_width: int = 16,
 ) -> str:
-    """Draw events between ``participants`` as an ASCII sequence diagram.
+    """Draw transmission events between ``participants`` as an ASCII
+    sequence diagram.
 
-    Events with endpoints outside ``participants`` are skipped;
+    Each event is a ``net.send`` (drawn ``--->``) or
+    ``net.backbone_send`` (drawn ``===>``) trace record.  Events with
+    endpoints outside ``participants`` are skipped;
     broadcasts are drawn as a message to every other participant column
     collapsed to a single ``*``-terminated arrow to the right margin.
     ``labels`` maps raw addresses to display names (pseudonyms are
@@ -149,14 +86,14 @@ def render_sequence(
         lo, hi = sorted((src_index, dst_index))
         start = lo * width + width // 2
         end = hi * width + width // 2
-        stroke = "=" if event.transport == "wire" else "-"
+        stroke = "=" if event.kind == "net.backbone_send" else "-"
         for position in range(start + 1, end):
             row[position] = stroke
         if dst_index > src_index:
             row[end - 1] = ">"
         else:
             row[start + 1] = "<"
-        short = kind_labels.get(event.kind, event.kind)
+        short = kind_labels.get(event.packet_kind, event.packet_kind)
         label = short if event.dst != "*" else f"{short}*"
         span = end - start - 1
         if len(label) < span:

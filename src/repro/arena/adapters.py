@@ -112,14 +112,14 @@ class _ThresholdAdapter(_OverhearingDetector):
         if key in self._seen:
             return  # the same claim, forwarded along the reverse path
         self._seen.add(key)
+        # evaluate() also folds accepted replies into an adaptive
+        # baseline (the peak detector's growth), so nothing else updates it.
         verdict = self.baseline.evaluate([packet])
         if verdict.flagged:
             self._convict(
                 packet.replied_by,
                 f"destination_seq={packet.destination_seq} above threshold",
             )
-        elif hasattr(self.baseline, "update"):
-            self.baseline.update([packet])
 
 
 class PeakThresholdAdapter(_ThresholdAdapter):

@@ -102,14 +102,10 @@ class SybilAodv(BlackHoleAodv):
             replied_by=alias,
             cluster_of_replier=self.cluster_info() if self.cluster_info else 0,
         )
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "aodv.rrep_generated", node=self.node.node_id
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(self.node.node_id, "aodv.rrep_tx", reply,
-                           detail=f"sybil={alias}")
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(self.node.node_id, "aodv.rrep_tx", reply,
+                       detail=f"sybil={alias}")
         self.node.send(reply)
 
 

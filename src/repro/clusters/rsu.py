@@ -17,6 +17,9 @@ from repro.routing.protocol import AodvConfig, AodvProtocol
 from repro.sim.simulator import Simulator
 
 from repro.clusters.membership import MemberRecord, MembershipTable
+
+#: RSU stats field -> metric name (labelled ``cluster``): membership churn.
+RSU_METRICS = {"joins": "clusters.joins", "leaves": "clusters.leaves"}
 from repro.clusters.packets import JoinReply, JoinRequest, LeaveNotice
 
 
@@ -63,6 +66,7 @@ class RsuNode(Node):
         self.coverage = coverage
         self.cluster_index = cluster_index
         self.membership = MembershipTable()
+        self.stats = simulator.obs.register(RSU_METRICS, cluster=cluster_index)
         if aodv_config is None:
             # Infrastructure default: forward floods and data, but never
             # vouch for cached routes (see AodvConfig.intermediate_replies).
@@ -114,9 +118,9 @@ class RsuNode(Node):
                 cluster_index=self.cluster_index,
             )
         )
+        self.stats.joins += 1
         obs = self.sim.obs
         if obs.metrics is not None:
-            obs.metrics.counter("clusters.joins", cluster=self.cluster_index).inc()
             obs.metrics.gauge("clusters.members", cluster=self.cluster_index).set(
                 len(self.membership)
             )
@@ -128,11 +132,9 @@ class RsuNode(Node):
     def _on_leave_notice(self, packet: LeaveNotice, sender: str) -> None:
         record = self.membership.leave(sender, self.sim.now)
         if record is not None:
+            self.stats.leaves += 1
             obs = self.sim.obs
             if obs.metrics is not None:
-                obs.metrics.counter(
-                    "clusters.leaves", cluster=self.cluster_index
-                ).inc()
                 obs.metrics.gauge(
                     "clusters.members", cluster=self.cluster_index
                 ).set(len(self.membership))

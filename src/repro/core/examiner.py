@@ -54,6 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: saw (insecure RREPs); negative so they cannot collide with TA serials.
 _synthetic_serials = iter(range(-1, -10_000_000, -1))
 
+#: Detection stats field -> metric name (labelled ``cluster``).
+DETECTION_METRICS = {
+    "exams_started": "blackdp.exams_started",
+    "probes_sent": "blackdp.probes_sent{phase}",
+    "verdicts": "blackdp.verdicts{verdict}",
+    "revocations": "blackdp.revocations",
+}
+
 
 @dataclass
 class _ExamCase:
@@ -105,6 +113,7 @@ class DetectionService:
         self._alias_index: dict[str, _ExamCase] = {}
         #: completed detections this CH finished (emitted records)
         self.records: list[DetectionRecord] = []
+        self.stats = rsu.sim.obs.register(DETECTION_METRICS, cluster=rsu.cluster_index)
         self._rng = rsu.sim.rng("detection")
         # Chain in front of the RSU's AODV for RouteReply interception.
         self._aodv_rrep_handler = rsu.handler_for(RouteReply)
@@ -175,13 +184,10 @@ class DetectionService:
             examined_by=[self.rsu.cluster_index],
         )
         self.verification_table[case.suspect] = case
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.exams_started", cluster=self.rsu.cluster_index
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.exams_started += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.rsu.node_id, "exam.start", packet,
                 cause=f"suspect:{packet.suspect}",
             )
@@ -302,15 +308,10 @@ class DetectionService:
         return RouteRequest(**defaults)
 
     def _observe_probe(self, case: _ExamCase, probe: RouteRequest) -> None:
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.probes_sent",
-                cluster=self.rsu.cluster_index,
-                phase=case.phase,
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.probes_sent[case.phase] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.rsu.node_id, "exam.probe_tx", probe,
                 cause=f"suspect:{case.suspect}", detail=case.phase,
             )
@@ -476,15 +477,10 @@ class DetectionService:
         self._cancel_timer(case)
         self._release_alias(case)
         case.ledger.count("result")
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.verdicts",
-                cluster=self.rsu.cluster_index,
-                verdict=verdict,
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.verdicts[verdict] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.rsu.node_id, "exam.verdict",
                 cause=f"suspect:{case.suspect}", detail=verdict,
             )
@@ -684,15 +680,10 @@ class DetectionService:
         case.closed = True
         case.verdict = verdict
         self.verification_table[suspect] = case
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.verdicts",
-                cluster=self.rsu.cluster_index,
-                verdict=verdict,
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.verdicts[verdict] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.rsu.node_id, "exam.verdict",
                 cause=f"suspect:{suspect}", detail=verdict,
             )
@@ -719,13 +710,10 @@ class DetectionService:
         return None
 
     def _revoke(self, suspect: str, certificate) -> RevocationEntry:
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.revocations", cluster=self.rsu.cluster_index
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.revocations += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.rsu.node_id, "exam.revoke", cause=f"suspect:{suspect}"
             )
         authority = self.ta_network.authority_for_cluster(self.rsu.node_id)

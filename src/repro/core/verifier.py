@@ -41,6 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
 
 
+#: Verifier stats field -> metric name (labelled ``node``).
+VERIFIER_METRICS = {
+    "verifications_started": "blackdp.verifications_started",
+    "hello_probes": "blackdp.hello_probes",
+    "reports_sent": "blackdp.reports_sent",
+    "verifications": "blackdp.verifications{result}",
+}
+
+
 @dataclass
 class VerificationOutcome:
     """Result of one verified route establishment.
@@ -117,7 +126,7 @@ class RouteVerifier:
         self.config = config or BlackDpConfig()
         self._cases: dict[str, _Case] = {}
         self._by_suspect: dict[str, _Case] = {}
-        self._nonces = 0
+        self.stats = vehicle.sim.obs.register(VERIFIER_METRICS, node=vehicle.node_id)
         #: completed outcomes, newest last (inspection/metrics)
         self.outcomes: list[VerificationOutcome] = []
         vehicle.register_handler(SecureHello, self._on_secure_hello)
@@ -152,13 +161,10 @@ class RouteVerifier:
             raise RuntimeError(f"verification to {destination!r} already running")
         case = _Case(destination, callback)
         self._cases[destination] = case
-        obs = self.vehicle.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.verifications_started", node=self.vehicle.node_id
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.verifications_started += 1
+        trace = self.vehicle.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.vehicle.node_id, "verify.start", detail=destination
             )
         self._discover(case)
@@ -264,8 +270,8 @@ class RouteVerifier:
         if route is None:
             self._finish(case, verified=False, reason="route-vanished", prevented=True)
             return
-        self._nonces += 1
-        case.nonce = self._nonces
+        self.stats.hello_probes += 1
+        case.nonce = self.stats.hello_probes  # the Hello count doubles as nonce
         hello = SecureHello(
             src=self.vehicle.address,
             dst=route.next_hop,
@@ -274,13 +280,9 @@ class RouteVerifier:
             nonce=case.nonce,
         )
         self._sign_hello(hello)
-        obs = self.vehicle.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.hello_probes", node=self.vehicle.node_id
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        trace = self.vehicle.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.vehicle.node_id, "verify.hello_tx", hello,
                 cause=f"suspect:{case.suspect}" if case.suspect else "",
                 detail=f"target={case.destination}",
@@ -394,13 +396,10 @@ class RouteVerifier:
             suspect_cluster=case.suspect_cluster,
             suspect_certificate=case.suspect_certificate,
         )
-        obs = self.vehicle.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.reports_sent", node=self.vehicle.node_id
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.reports_sent += 1
+        trace = self.vehicle.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.vehicle.node_id, "verify.report", request,
                 cause=f"suspect:{case.suspect}", detail=reason,
             )
@@ -541,15 +540,10 @@ class RouteVerifier:
             prevented=prevented,
             discoveries=case.discoveries,
         )
-        obs = self.vehicle.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter(
-                "blackdp.verifications",
-                node=self.vehicle.node_id,
-                result="verified" if verified else "refused",
-            ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
+        self.stats.verifications["verified" if verified else "refused"] += 1
+        trace = self.vehicle.sim.obs.trace
+        if trace is not None:
+            trace.emit(
                 self.vehicle.node_id, "verify.outcome",
                 cause=f"suspect:{case.suspect}" if case.suspect else "",
                 detail=reason,

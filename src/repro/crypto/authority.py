@@ -23,6 +23,15 @@ from repro.crypto.keys import KeyPair, PublicKey, generate_keypair, sign
 from repro.crypto.pseudonyms import PseudonymManager
 from repro.crypto.revocation import RevocationEntry, RevocationList
 from repro.crypto.sigcache import signature_cache
+from repro.obs.metrics import stats_for
+
+#: TA stats field -> metric name: issuance per TA node (infrastructure
+#: credentials excluded) and revocations the fog propagated.
+TA_METRICS = {
+    "enrolments": "ta.enrolments{ta}",
+    "enrolments_refused": "ta.enrolments_refused{ta}",
+    "revocations_propagated": "ta.revocations_propagated",
+}
 
 #: Default certificate lifetime in simulation seconds.  Long relative to
 #: a single route discovery, short enough that pseudonym renewal happens
@@ -92,15 +101,12 @@ class TrustedAuthority:
         vehicle; the TA remembers the pseudonym mapping so it can pause
         renewals after a revocation.
         """
-        obs = self.network.obs
         if long_term_id in self.paused:
-            if obs is not None and obs.metrics is not None:
-                obs.metrics.counter("ta.enrolments_refused", ta=self.ta_id).inc()
+            self.network.stats.enrolments_refused[self.ta_id] += 1
             raise PermissionError(
                 f"renewals for {long_term_id!r} are paused (revoked attacker)"
             )
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.counter("ta.enrolments", ta=self.ta_id).inc()
+        self.network.stats.enrolments[self.ta_id] += 1
         keypair = generate_keypair(self._rng)
         pseudonym = self._pseudonyms.issue()
         life = DEFAULT_CERT_LIFETIME if lifetime is None else lifetime
@@ -229,17 +235,16 @@ class TrustedAuthorityNetwork:
     True
     """
 
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self, rng: random.Random, *, obs=None) -> None:
         self._rng = rng
         self.root_keypair: KeyPair = generate_keypair(rng)
         self.authorities: dict[str, TrustedAuthority] = {}
         self._serials = itertools.count(1)
         #: cluster id -> TA id responsible for it
         self._region_of: dict[str, str] = {}
-        #: optional observability hub (a :class:`repro.obs.Observability`);
-        #: the TA network has no simulator reference, so the scenario
-        #: builder attaches the hub explicitly when it wants TA metrics
-        self.obs = None
+        # The TA fog has no simulator: a scenario builder passes the
+        # sim's hub (``repro.obs.Observability``) for ``ta.*`` metrics.
+        self.stats = stats_for(TA_METRICS) if obs is None else obs.register(TA_METRICS)
 
     @property
     def public_key(self) -> PublicKey:
@@ -278,7 +283,6 @@ class TrustedAuthorityNetwork:
         """Deliver a revocation entry to every TA node (paper: the TA
         "informs other trusted authority nodes to pause attacker renewal
         certificates")."""
-        if self.obs is not None and self.obs.metrics is not None:
-            self.obs.metrics.counter("ta.revocations_propagated").inc()
+        self.stats.revocations_propagated += 1
         for authority in self.authorities.values():
             authority.receive_revocation(entry)

@@ -26,9 +26,10 @@ ledger lives in one directory:
     depends on it.
 
 ``cache/``
-    A standard :class:`~repro.experiments.executor.ResultCache`.  The
-    journal resumes at *unit* granularity; the cache additionally
-    catches units that finished inside an interrupted batch.
+    A standard :class:`~repro.experiments.executor.ResultCache`, shared
+    with any other run of the same configs.  The executor writes it when
+    a batch returns — the same moment the campaign journals the batch —
+    so a kill -9 mid-batch loses the whole batch from both.
 
 Interrupts drain rather than discard: the executor harvests in-flight
 chunks (workers ignore SIGINT), the campaign journals them and writes a

@@ -13,7 +13,7 @@ The contract
   so a trial's result does not depend on which process ran it or when.
 - Results are re-assembled strictly in submission order, so
   ``jobs=N`` output is byte-identical to ``jobs=1`` output (enforced by
-  ``tests/test_executor.py`` and the CI parallel smoke job).
+  ``tests/test_executor.py``).
 - Units are chunked (``chunk_size``, auto by default) to amortise
   pickling and process round-trips.
 - A worker crash fails only the chunks it held: each failed chunk is

@@ -348,7 +348,10 @@ class TrialSession:
             ),
             policy_name=self.policy_name,
         )
-        result.attacker_addresses = set(self.attacker_addresses)
+        # Sorted: a set's iteration order (so its pickle) follows its
+        # insertion history, which a snapshot round trip of the session's
+        # set changes; a restored trial must pickle byte-identically.
+        result.attacker_addresses = set(sorted(self.attacker_addresses))
         # Attackers may have renewed pseudonyms during the trial.
         for attacker in self.attackers:
             result.attacker_addresses.add(attacker.address)

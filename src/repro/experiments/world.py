@@ -384,10 +384,9 @@ def build_world(
     net = Network(sim, channel)
     hw = highway or Highway()
     rsus = build_rsu_chain(sim, net, hw, transmission_range=transmission_range)
-    ta_net = TrustedAuthorityNetwork(sim.rng("crypto"))
     # The TA fog has no simulator reference; share the sim's observability
     # hub so enrolment/revocation counters land in the same registry.
-    ta_net.obs = sim.obs
+    ta_net = TrustedAuthorityNetwork(sim.rng("crypto"), obs=sim.obs)
     half = len(rsus) // 2 or 1
     ta1 = ta_net.add_authority("ta1")
     ta2 = ta_net.add_authority("ta2")

@@ -27,7 +27,7 @@ query instead of O(N).  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,20 +87,48 @@ class ChannelConfig:
             raise ValueError("spatial guard band and max speed must be positive")
 
 
+def _per_kind() -> defaultdict:
+    return defaultdict(int)
+
+
 @dataclass
 class NetworkStats:
-    """Counters the metrics layer aggregates."""
+    """Per-kind counts (``dropped``: per ``(cause, kind)``); each total is
+    their sum.  ``defaultdict(int)`` rather than ``Counter``: increments
+    run per delivery, and a ``Counter`` increment costs twice as much."""
 
-    sent: int = 0
-    delivered: int = 0
-    dropped_out_of_range: int = 0
-    dropped_loss: int = 0
-    dropped_unknown_address: int = 0
-    backbone_sent: int = 0
-    backbone_delivered: int = 0
-    by_kind: Counter = field(default_factory=Counter)
+    sent_by_kind: defaultdict = field(default_factory=_per_kind)
+    delivered_by_kind: defaultdict = field(default_factory=_per_kind)
+    backbone_sent_by_kind: defaultdict = field(default_factory=_per_kind)
+    backbone_delivered_by_kind: defaultdict = field(default_factory=_per_kind)
+    dropped: defaultdict = field(default_factory=_per_kind)
     bytes_sent: int = 0
     bytes_by_kind: Counter = field(default_factory=Counter)
+
+    sent = property(lambda self: sum(self.sent_by_kind.values()))
+    delivered = property(lambda self: sum(self.delivered_by_kind.values()))
+    backbone_sent = property(lambda self: sum(self.backbone_sent_by_kind.values()))
+    backbone_delivered = property(lambda self: sum(self.backbone_delivered_by_kind.values()))
+    dropped_loss = property(lambda self: self._dropped("loss"))
+    dropped_out_of_range = property(lambda self: self._dropped("out-of-range"))
+    dropped_unknown_address = property(
+        lambda self: self._dropped(
+            "unknown-address", "backbone-unreachable", "backbone-unknown-address"
+        )
+    )
+
+    def _dropped(self, *causes: str) -> int:
+        return sum(n for (cause, _), n in self.dropped.items() if cause in causes)
+
+
+#: NetworkStats field -> metric name.
+NETWORK_METRICS = {
+    "sent_by_kind": "net.sent{kind}",
+    "delivered_by_kind": "net.delivered{kind}",
+    "backbone_sent_by_kind": "net.backbone_sent{kind}",
+    "backbone_delivered_by_kind": "net.backbone_delivered{kind}",
+    "dropped": "net.dropped{cause,kind}",
+}
 
 
 class Network:
@@ -124,15 +152,11 @@ class Network:
         #: wired links: RSU address -> linked addresses, in the order the
         #: addresses first joined (announcement order follows it)
         self.backbone: dict[str, set[str]] = {}
-        self.stats = NetworkStats()
+        self.stats = simulator.obs.register(NETWORK_METRICS, NetworkStats())
         self._rng = simulator.rng("channel")
         #: promiscuous listeners: (node, callback) pairs that overhear
         #: every radio transmission within the node's range
         self._monitors: list[tuple[Node, Callable]] = []
-        #: omniscient taps: ``tap(packet, transport)`` fires on every
-        #: transmission, radio ("air") and backbone ("wire") alike —
-        #: instrumentation for tracing, not a protocol-visible channel
-        self.taps: list[Callable[[Packet, str], None]] = []
         #: uniform-grid neighbour index: serves broadcast fan-out,
         #: neighbors() and in_range rejection
         self.spatial = SpatialIndex(
@@ -336,29 +360,22 @@ class Network:
         return label
 
     def _observe_drop(self, sender: Node, packet: Packet, cause: str) -> None:
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.dropped", cause=cause, kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.drop", packet, detail=cause)
+        self.stats.dropped[cause, packet.kind] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(sender.node_id, "net.drop", packet, detail=cause)
 
     def transmit(self, sender: Node, packet: Packet) -> None:
         """Send ``packet``; broadcast fans out to all in-range nodes."""
-        stats = self.stats
-        stats.sent += 1
-        stats.by_kind[packet.kind] += 1
+        self.stats.sent_by_kind[packet.kind] += 1
         # Guarded at the call site: byte accounting and overhearing are
         # both off in the common configuration, and the no-op call frames
         # add up at flood rates.
         if self.config.account_bytes:
             self._account_bytes(packet)
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.sent", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.send", packet)
-        for tap in self.taps:
-            tap(packet, "air")
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(sender.node_id, "net.send", packet)
         if self._monitors:
             self._overhear(sender, packet)
         if packet.dst == BROADCAST:
@@ -366,11 +383,9 @@ class Network:
             return
         receiver = self._by_address.get(packet.dst)
         if receiver is None:
-            self.stats.dropped_unknown_address += 1
             self._observe_drop(sender, packet, "unknown-address")
             return
         if not self.in_range(sender, receiver):
-            self.stats.dropped_out_of_range += 1
             self._observe_drop(sender, packet, "out-of-range")
             return
         self._deliver(sender, receiver, packet)
@@ -396,7 +411,6 @@ class Network:
         groups: dict[float, list[Node]] = {}
         for receiver in receivers:
             if loss_rate and rng.random() < loss_rate:
-                self.stats.dropped_loss += 1
                 self._observe_drop(sender, packet, "loss")
                 continue
             delay = base_delay + rng.random() * jitter if jitter else base_delay
@@ -426,55 +440,36 @@ class Network:
     def _arrive_batch(
         self, receivers: tuple, packet: Packet, sender_address: str
     ) -> None:
-        # Inlined _arrive with the per-packet lookups hoisted: one stats
-        # object, one counter resolution and one trace check for the
-        # whole batch instead of one per receiver.  Emission order is
-        # identical to per-receiver delivery.
-        stats = self.stats
-        obs = self.sim.obs
-        if obs.metrics is None and obs.trace is None:
-            # Observability dark (the profiled/production default): the
-            # loop is just accounting plus dispatch, with the body of
-            # Node.on_receive inlined — the broadcast fan-out delivers
-            # the same packet type to every receiver, so the type lookup
-            # hoists out of the loop and each receiver pays only its own
-            # gate check and handler call.
-            ptype = type(packet)
-            for receiver in receivers:
-                if receiver.network is self:
-                    stats.delivered += 1
-                    gate = receiver.gate
-                    if gate is not None and not gate(packet, sender_address):
-                        receiver.packets_gated += 1
-                        continue
-                    receiver.packets_received += 1
-                    handler = receiver._dispatch_cache.get(ptype, _UNRESOLVED)
-                    if handler is _UNRESOLVED:
-                        handler = receiver._resolve_handler(ptype)
-                    if handler is not None:
-                        handler(packet, sender_address)
-                    else:
-                        receiver.handle_unknown(packet, sender_address)
-            return
-        counter = (
-            obs.metrics.counter("net.delivered", kind=packet.kind)
-            if obs.metrics is not None
-            else None
-        )
-        trace = obs.trace
+        # Inlined _arrive and Node.on_receive with the per-packet work
+        # hoisted: one stats update, trace check and type lookup per
+        # batch, so each receiver pays only its own gate check and
+        # handler call.  Emission order matches per-receiver delivery.
+        trace = self.sim.obs.trace
+        ptype = type(packet)
+        delivered = 0
         for receiver in receivers:
             if receiver.network is not self:
                 continue
-            stats.delivered += 1
-            if counter is not None:
-                counter.inc()
+            delivered += 1
             if trace is not None:
                 trace.emit(receiver.node_id, "net.deliver", packet)
-            receiver.on_receive(packet, sender_address)
+            gate = receiver.gate
+            if gate is not None and not gate(packet, sender_address):
+                receiver.packets_gated += 1
+                continue
+            receiver.packets_received += 1
+            handler = receiver._dispatch_cache.get(ptype, _UNRESOLVED)
+            if handler is _UNRESOLVED:
+                handler = receiver._resolve_handler(ptype)
+            if handler is not None:
+                handler(packet, sender_address)
+            else:
+                receiver.handle_unknown(packet, sender_address)
+        if delivered:
+            self.stats.delivered_by_kind[packet.kind] += delivered
 
     def _deliver(self, sender: Node, receiver: Node, packet: Packet) -> None:
         if self.config.loss_rate and self._rng.random() < self.config.loss_rate:
-            self.stats.dropped_loss += 1
             self._observe_drop(sender, packet, "loss")
             return
         delay = self.config.per_hop_delay
@@ -496,12 +491,10 @@ class Network:
         # The receiver may have left or re-addressed mid-flight.
         if receiver.network is not self:
             return
-        self.stats.delivered += 1
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.delivered", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(receiver.node_id, "net.deliver", packet)
+        self.stats.delivered_by_kind[packet.kind] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(receiver.node_id, "net.deliver", packet)
         receiver.on_receive(packet, sender_address)
 
     # ------------------------------------------------------------------
@@ -547,24 +540,17 @@ class Network:
         """
         hops = self.backbone_path_length(sender.address, packet.dst)
         if hops is None:
-            self.stats.dropped_unknown_address += 1
             self._observe_drop(sender, packet, "backbone-unreachable")
             return False
         receiver = self._by_address.get(packet.dst)
         if receiver is None:
-            self.stats.dropped_unknown_address += 1
             self._observe_drop(sender, packet, "backbone-unknown-address")
             return False
-        self.stats.backbone_sent += 1
-        self.stats.by_kind[packet.kind] += 1
+        self.stats.backbone_sent_by_kind[packet.kind] += 1
         self._account_bytes(packet)
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.backbone_sent", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.backbone_send", packet)
-        for tap in self.taps:
-            tap(packet, "wire")
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(sender.node_id, "net.backbone_send", packet)
         delay = max(1, hops) * self.config.wired_hop_delay
         self.sim.schedule(
             delay,
@@ -580,10 +566,8 @@ class Network:
     ) -> None:
         if receiver.network is not self:
             return
-        self.stats.backbone_delivered += 1
-        obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.backbone_delivered", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(receiver.node_id, "net.backbone_deliver", packet)
+        self.stats.backbone_delivered_by_kind[packet.kind] += 1
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(receiver.node_id, "net.backbone_deliver", packet)
         receiver.on_receive(packet, sender_address)

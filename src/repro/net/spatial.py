@@ -58,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Integer grid coordinates of one square cell.
 Cell = tuple[int, int]
 
+#: SpatialIndex counter -> metric name.
+SPATIAL_METRICS = {"rebuilds": "net.spatial.rebuilds"}
+
 
 class SpatialIndex:
     """Epoch-snapshotted uniform grid over the nodes of one network.
@@ -108,10 +111,8 @@ class SpatialIndex:
         self._built_at = -math.inf
         self._valid_until = -math.inf
         self._dirty = True
-        #: plain counters, readable without enabling the metrics hub
         self.rebuilds = 0
-        self.incremental_updates = 0
-        self.queries = 0
+        network.sim.obs.register(SPATIAL_METRICS, self)
 
     # ------------------------------------------------------------------
     # Incremental membership updates (called by the Network)
@@ -128,13 +129,11 @@ class SpatialIndex:
         if self._dirty:
             return  # the pending rebuild will pick it up
         self._insert(node)
-        self.incremental_updates += 1
 
     def remove(self, node: Node) -> None:
         """Drop a detached node from the index."""
         self._order.pop(node, None)
         self._evict(node)
-        self.incremental_updates += 1
 
     def move(self, node: Node) -> None:
         """Re-snapshot one node after an explicit position change."""
@@ -142,7 +141,6 @@ class SpatialIndex:
             return
         self._evict(node)
         self._insert(node)
-        self.incremental_updates += 1
 
     def _insert(self, node: Node) -> None:
         position = node.position
@@ -231,10 +229,9 @@ class SpatialIndex:
         self._buckets_ordered = True
         self._dirty = False
         self.rebuilds += 1
-        obs = sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("net.spatial.rebuilds").inc()
-            obs.metrics.gauge("net.spatial.cells").set(len(cells))
+        metrics = sim.obs.metrics
+        if metrics is not None:
+            metrics.gauge("net.spatial.cells").set(len(cells))
         if profiler is not None:
             profiler.record("spatial rebuild", profiler.clock() - started)
 
@@ -268,7 +265,6 @@ class SpatialIndex:
         ``[o for o in net.nodes if net.in_range(node, o)]``.
         """
         self.ensure_current()
-        self.queries += 1
         # in_range limits by min(pair ranges) <= node's own range, so a
         # guard-band-widened disk around the querier covers every
         # candidate snapshot.

@@ -2,9 +2,7 @@
 
 Every :class:`~repro.sim.simulator.Simulator` carries an
 :class:`Observability` hub at ``sim.obs``.  All three collectors are
-**off by default** and cost one attribute load + ``None`` check per
-instrumented call site until enabled, so the uninstrumented hot path is
-unchanged:
+**off by default**:
 
     sim = Simulator(seed=1)
     metrics = sim.obs.enable_metrics()
@@ -15,11 +13,10 @@ unchanged:
     trace.write_jsonl("run.jsonl")
     profiler.report().events_per_sec
 
-Instrumented layers: ``repro.net`` (per-kind send/deliver/drop),
-``repro.routing`` (RREQ/RREP/RERR/Hello and route churn), ``repro.core``
-(verifications, probes, verdicts, revocations), ``repro.clusters``
-(membership) and ``repro.crypto`` (issuance/revocation).  See
-``docs/observability.md`` for the guide.
+Counters are plain fields of each layer's stats object, bumped whether
+or not metrics are on and read by the registry on demand (see
+:mod:`repro.obs.metrics`); trace and gauge call sites cost one ``None``
+check until enabled.  See ``docs/observability.md`` for the guide.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from repro.obs.metrics import (
     MetricGauge,
     MetricHistogram,
     MetricsRegistry,
+    stats_for,
 )
 from repro.obs.profiler import LabelCost, ProfileReport, RunProfiler
 from repro.obs.timeline import (
@@ -56,7 +54,7 @@ class Observability:
     and CLIs can enable mid-run.
     """
 
-    __slots__ = ("_simulator", "metrics", "trace", "profiler", "timeseries")
+    __slots__ = ("_simulator", "metrics", "trace", "profiler", "timeseries", "sources")
 
     def __init__(self, simulator) -> None:
         self._simulator = simulator
@@ -64,13 +62,22 @@ class Observability:
         self.trace: TraceCollector | None = None
         self.profiler: RunProfiler | None = None
         self.timeseries: TimeSeriesRecorder | None = None
+        #: ``(stats, fields, labels)`` of every stats object, shared with the registry
+        self.sources: list = []
+
+    def register(self, fields: dict[str, str], stats=None, **labels: object):
+        """Publish ``stats`` (default: ``stats_for(fields)``) as the
+        metrics ``fields`` names, with constant ``labels``; returns it."""
+        stats = stats_for(fields) if stats is None else stats
+        self.sources.append((stats, fields, tuple(labels.items())))
+        return stats
 
     # ------------------------------------------------------------------
     # Switches
     # ------------------------------------------------------------------
     def enable_metrics(self, **kwargs) -> MetricsRegistry:
         if self.metrics is None:
-            self.metrics = MetricsRegistry(**kwargs)
+            self.metrics = MetricsRegistry(sources=self.sources, **kwargs)
         return self.metrics
 
     def enable_trace(self, **kwargs) -> TraceCollector:

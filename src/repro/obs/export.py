@@ -12,13 +12,12 @@ Two halves:
   for scrapers, ``/healthz`` for liveness probes, ``/status`` for a
   JSON view of whatever run-level status the owner publishes.
 
-The server only ever *reads* — it draws no randomness and touches no
-simulation state — so exposing it during a live run cannot perturb a
-seeded trial.  The simulation thread keeps mutating the registry while
-a scrape renders; instrument values are plain attributes (atomic loads
-under the GIL) and a dictionary that grows mid-render is retried, so a
-scrape sees a consistent-enough point-in-time view without any locking
-on the hot path.
+The server only *reads* simulation state — its sync writes only the
+registry's own counters, idempotently — so exposing it during a live run
+cannot perturb a seeded trial.  Stats fields are plain attributes
+(atomic loads under the GIL) and a dictionary that grows mid-render is
+retried, so a scrape sees a consistent-enough point-in-time view
+without any locking on the hot path.
 """
 
 from __future__ import annotations
@@ -96,6 +95,7 @@ def render_openmetrics(registry: MetricsRegistry) -> str:
 
 
 def _render_once(registry: MetricsRegistry) -> str:
+    registry.sync()
     lines: list[str] = []
 
     # Group instruments by sanitized family name so each family gets

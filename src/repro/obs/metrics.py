@@ -13,16 +13,25 @@ runtime:
 Instruments are *namespaced*: a dotted name plus optional labels, so the
 net layer can keep one counter per packet kind
 (``net.sent{kind=RouteRequest}``) and the AODV layer one per node
-(``aodv.rreq_originated{node=veh-3}``) without coordinating.  Lookup is
-one dict access on a ``(name, labels)`` tuple — cheap enough for hot
-paths when metrics are enabled, and call sites are expected to skip the
-call entirely when they are not (see :class:`repro.obs.Observability`).
+(``aodv.rreq_originated{node=veh-3}``) without coordinating.
+
+Protocol layers never push counters: each counts in ``int`` (or, per
+label value, ``defaultdict(int)``) fields of its own stats object,
+registered once with a table naming each field's metric
+(``Observability.register``).  Every read first copies those fields into
+ordinary counters (:meth:`~MetricsRegistry.sync`); a field becomes an
+instrument the first time it is nonzero.  Gauges and histograms are set
+by their producers while metrics are on.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from collections import defaultdict
+from functools import lru_cache
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Iterator
 
 #: Default seed material for registry-owned histogram reservoirs.
@@ -45,6 +54,27 @@ def format_key(key: tuple[str, Labels]) -> str:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inner}}}"
+
+
+@lru_cache(maxsize=None)
+def _parse_spec(spec: str) -> tuple[str, Labels, tuple[str, ...]]:
+    """``"name{a=x,b}"`` -> ``(name, (("a", "x"),), ("b",))``: fixed
+    labels, then the labels a mapping field's keys fill in (a tuple key
+    for several, a plain key for one)."""
+    name, _, inner = spec.partition("{")
+    items = [item.partition("=") for item in inner.rstrip("}").split(",") if item]
+    fixed = tuple((label, value) for label, equals, value in items if equals)
+    return name, fixed, tuple(label for label, equals, _ in items if not equals)
+
+
+def stats_for(fields: dict[str, str]) -> SimpleNamespace:
+    """A stats object for a table of ``field -> metric name``: each field
+    starts at ``0``, or as an empty ``defaultdict(int)`` when its name
+    takes labels from the keys (``"net.dropped{cause,kind}"``)."""
+    return SimpleNamespace(**{
+        field: defaultdict(int) if _parse_spec(spec)[2] else 0
+        for field, spec in fields.items()
+    })
 
 
 class MetricCounter:
@@ -162,13 +192,76 @@ class MetricsRegistry:
     """
 
     def __init__(
-        self, *, reservoir_size: int = 512, seed: int = DEFAULT_RESERVOIR_SEED
+        self, *, reservoir_size: int = 512, seed: int = DEFAULT_RESERVOIR_SEED, sources=None
     ) -> None:
         self._counters: dict[tuple[str, Labels], MetricCounter] = {}
         self._gauges: dict[tuple[str, Labels], MetricGauge] = {}
         self._histograms: dict[tuple[str, Labels], MetricHistogram] = {}
         self._reservoir_size = reservoir_size
         self._seed = seed
+        #: ``(stats, fields, ((label, value), ...))`` read by every sync
+        #: (see :func:`stats_for`); the ``Observability`` hub shares its list
+        self.sources: list = [] if sources is None else sources
+        self._bound = 0
+        #: ``[stats, attrgetter, last read, keys, instruments]`` per source
+        self._plain: list[list] = []
+        #: ``(stats, field, name, labels, key labels, {key: instrument})``
+        self._labelled: list[tuple] = []
+
+    def _bind(self) -> None:
+        start, self._bound = self._bound, len(self.sources)
+        for stats, fields, labels in self.sources[start:self._bound]:
+            plain, keys = [], []
+            for field, spec in fields.items():
+                name, fixed, keyed = _parse_spec(spec)
+                merged = dict(labels + fixed)
+                if keyed:
+                    self._labelled.append((stats, field, name, merged, keyed, {}))
+                else:
+                    plain.append(field)
+                    keys.append(_key(name, merged))
+            if plain:
+                self._plain.append([stats, attrgetter(*plain), None, keys, [None] * len(keys)])
+
+    def sync(self) -> None:
+        """Copy every registered stats field into its (cached) counter.
+
+        An unchanged stats object costs one ``attrgetter`` call and one
+        tuple comparison.  Idempotent: a scrape and the sampler may race.
+        Each metric key must have one stats field: two would overwrite.
+        """
+        if self._bound != len(self.sources):
+            self._bind()
+        counters = self._counters
+        for source in self._plain:
+            values = source[1](source[0])
+            if values == source[2]:
+                continue
+            source[2] = values
+            keys, instruments = source[3], source[4]
+            if len(keys) == 1:
+                values = (values,)  # attrgetter of one name: the bare value
+            for index, value in enumerate(values):
+                instrument = instruments[index]
+                if instrument is None:
+                    if not value:
+                        continue
+                    instrument = instruments[index] = counters.setdefault(
+                        keys[index], MetricCounter()
+                    )
+                instrument.value = value
+        for stats, field, name, labels, keyed, cache in self._labelled:
+            for label_values, value in getattr(stats, field).items():
+                instrument = cache.get(label_values)
+                if instrument is None:
+                    if not value:
+                        continue
+                    values = label_values if len(keyed) > 1 else (label_values,)
+                    key = _key(name, {**labels, **dict(zip(keyed, values))})
+                    instrument = cache[label_values] = counters.setdefault(
+                        key, MetricCounter()
+                    )
+                instrument.value = value
 
     # ------------------------------------------------------------------
     # Instrument access (creating on first use)
@@ -209,11 +302,13 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def value(self, name: str, **labels: object) -> int | float:
         """Current value of a counter (0 if never incremented)."""
+        self.sync()
         counter = self._counters.get(_key(name, labels))
         return counter.value if counter is not None else 0
 
     def total(self, prefix: str) -> int | float:
         """Sum of every counter whose name starts with ``prefix``."""
+        self.sync()
         return sum(
             counter.value
             for (name, _), counter in self._counters.items()
@@ -222,12 +317,14 @@ class MetricsRegistry:
 
     def counters(self, prefix: str = "") -> Iterator[tuple[str, int]]:
         """``(rendered name, value)`` pairs, optionally prefix-filtered."""
+        self.sync()
         for key, counter in sorted(self._counters.items()):
             if key[0].startswith(prefix):
                 yield format_key(key), counter.value
 
     def snapshot(self) -> dict[str, object]:
         """Flat, JSON-serialisable dump of every instrument."""
+        self.sync()
         out: dict[str, object] = {}
         for key, counter in sorted(self._counters.items()):
             out[format_key(key)] = counter.value

@@ -7,7 +7,7 @@ thresholds, queue depth, probe traffic) means sampling it while it runs.
 :class:`TimeSeriesRecorder` schedules itself on the simulator's event
 queue at a fixed **virtual-time** cadence and snapshots every instrument
 in the :class:`~repro.obs.metrics.MetricsRegistry` into fixed-capacity
-ring buffers.
+ring buffers, syncing the registered stats fields first.
 
 Determinism rules
 -----------------
@@ -234,6 +234,7 @@ class TimeSeriesRecorder:
         metrics = self._simulator.obs.metrics
         if metrics is None:
             return
+        metrics.sync()
         if (
             metrics is not self._registry
             or len(self._counters) != len(metrics._counters)

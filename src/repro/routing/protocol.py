@@ -137,14 +137,37 @@ class AodvStats:
     rreq_rebroadcast: int = 0
     rrep_generated: int = 0
     rrep_forwarded: int = 0
+    rrep_filtered: int = 0
     gratuitous_rreps: int = 0
     rerr_sent: int = 0
+    route_updates: int = 0
+    hello_sent: int = 0
+    hello_received: int = 0
     data_originated: int = 0
     data_forwarded: int = 0
     data_delivered: int = 0
     data_dropped_no_route: int = 0
+    data_refused: int = 0
     local_repairs_started: int = 0
     local_repairs_succeeded: int = 0
+
+
+#: AodvStats field -> metric name (labelled ``node`` per protocol).
+AODV_METRICS = {
+    "rreq_originated": "aodv.rreq_originated",
+    "rreq_rebroadcast": "aodv.rreq_rebroadcast",
+    "rrep_generated": "aodv.rrep_generated",
+    "rrep_forwarded": "aodv.rrep_forwarded",
+    "rrep_filtered": "aodv.rrep_filtered",
+    "gratuitous_rreps": "aodv.gratuitous_rrep",
+    "rerr_sent": "aodv.rerr_sent",
+    "route_updates": "aodv.route_updates",
+    "hello_sent": "aodv.hello_sent",
+    "hello_received": "aodv.hello_received",
+    "data_delivered": "aodv.data_delivered",
+    "data_dropped_no_route": "aodv.data_dropped{cause=no-route}",
+    "data_refused": "aodv.data_dropped{cause=refused}",
+}
 
 
 class AodvProtocol:
@@ -184,7 +207,7 @@ class AodvProtocol:
         self.reply_filter: Callable[[RouteReply], bool] | None = None
         self.table = RoutingTable()
         self.own_seq = 0
-        self.stats = AodvStats()
+        self.stats = self.sim.obs.register(AODV_METRICS, AodvStats(), node=node.node_id)
         self._rreq_counter = 0
         self._seen_rreqs: set[tuple[str, int]] = set()
         self._discoveries: dict[str, _Discovery] = {}
@@ -209,14 +232,6 @@ class AodvProtocol:
     @property
     def address(self) -> str:
         return self.node.address
-
-    def _count_route_update(self) -> None:
-        """Mirror accepted routing-table installs into the metrics
-        registry (route-table churn; only called when metrics could be
-        on — callers already hold the install result)."""
-        metrics = self.sim.obs.metrics
-        if metrics is not None:
-            metrics.counter("aodv.route_updates", node=self.node.node_id).inc()
 
     def add_rrep_listener(self, listener: Callable[[RouteReply, str], None]) -> None:
         """Observe every RREP that terminates at this node (BlackDP hooks)."""
@@ -267,8 +282,6 @@ class AodvProtocol:
         )
         self._seen_rreqs.add(rreq.key)
         obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("aodv.rreq_originated", node=self.node.node_id).inc()
         if obs.trace is not None:
             obs.trace.emit(
                 self.node.node_id, "aodv.rreq_tx", rreq,
@@ -317,7 +330,7 @@ class AodvProtocol:
                 expires_at=now + self.config.route_lifetime,
             )
             if installed:
-                self._count_route_update()
+                self.stats.route_updates += 1
         self._answer_rreq(packet, sender)
 
     def _answer_rreq(self, packet: RouteRequest, sender: str) -> None:
@@ -376,10 +389,6 @@ class AodvProtocol:
                 claim_check=packet.claim_check,
             )
             obs = self.sim.obs
-            if obs.metrics is not None:
-                obs.metrics.counter(
-                    "aodv.rreq_rebroadcast", node=self.node.node_id
-                ).inc()
             if obs.trace is not None:
                 obs.trace.emit(
                     self.node.node_id, "aodv.rreq_fwd", rebroadcast,
@@ -402,8 +411,6 @@ class AodvProtocol:
             replied_by=self.address,
         )
         obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("aodv.gratuitous_rrep", node=self.node.node_id).inc()
         if obs.trace is not None:
             obs.trace.emit(
                 self.node.node_id, "aodv.rrep_gratuitous", gratuitous,
@@ -443,8 +450,6 @@ class AodvProtocol:
         )
         self._maybe_sign(rrep)
         obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("aodv.rrep_generated", node=self.node.node_id).inc()
         if obs.trace is not None:
             obs.trace.emit(
                 self.node.node_id, "aodv.rrep_tx", rrep,
@@ -469,9 +474,8 @@ class AodvProtocol:
     # ------------------------------------------------------------------
     def _on_rrep(self, packet: RouteReply, sender: str) -> None:
         if self.reply_filter is not None and not self.reply_filter(packet):
+            self.stats.rrep_filtered += 1
             obs = self.sim.obs
-            if obs.metrics is not None:
-                obs.metrics.counter("aodv.rrep_filtered", node=self.node.node_id).inc()
             if obs.trace is not None:
                 obs.trace.emit(
                     self.node.node_id, "aodv.rrep_filtered", packet,
@@ -489,7 +493,7 @@ class AodvProtocol:
                 expires_at=now + max(packet.lifetime, self.config.route_lifetime),
             )
             if installed:
-                self._count_route_update()
+                self.stats.route_updates += 1
         if packet.originator == self.address:
             state = self._discoveries.get(packet.destination)
             if state is not None:
@@ -524,8 +528,6 @@ class AodvProtocol:
             signature=packet.signature,
         )
         obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("aodv.rrep_forwarded", node=self.node.node_id).inc()
         if obs.trace is not None:
             obs.trace.emit(
                 self.node.node_id, "aodv.rrep_fwd", forwarded,
@@ -560,10 +562,6 @@ class AodvProtocol:
                 return True
             self.stats.data_dropped_no_route += 1
             obs = self.sim.obs
-            if obs.metrics is not None:
-                obs.metrics.counter(
-                    "aodv.data_dropped", node=self.node.node_id, cause="no-route"
-                ).inc()
             if obs.trace is not None:
                 obs.trace.emit(
                     self.node.node_id, "aodv.data_drop", packet, detail="no-route"
@@ -605,18 +603,12 @@ class AodvProtocol:
     def _on_data(self, packet: DataPacket, sender: str) -> None:
         if packet.final_destination == self.address:
             self.stats.data_delivered += 1
-            metrics = self.sim.obs.metrics
-            if metrics is not None:
-                metrics.counter("aodv.data_delivered", node=self.node.node_id).inc()
             for sink in self._data_sinks:
                 sink(packet)
             return
         if not self._accept_data(packet, sender):
+            self.stats.data_refused += 1
             obs = self.sim.obs
-            if obs.metrics is not None:
-                obs.metrics.counter(
-                    "aodv.data_dropped", node=self.node.node_id, cause="refused"
-                ).inc()
             if obs.trace is not None:
                 obs.trace.emit(
                     self.node.node_id, "aodv.data_drop", packet, detail="refused"
@@ -650,9 +642,7 @@ class AodvProtocol:
             self._hello_timer = None
 
     def _hello_tick(self) -> None:
-        metrics = self.sim.obs.metrics
-        if metrics is not None:
-            metrics.counter("aodv.hello_sent", node=self.node.node_id).inc()
+        self.stats.hello_sent += 1
         self.node.send(
             HelloBeacon(
                 src=self.address,
@@ -668,9 +658,8 @@ class AodvProtocol:
         now = sim.now
         config = self.config
         self._neighbors_last_heard[sender] = now
-        metrics = sim.obs.metrics
-        if metrics is not None:
-            metrics.counter("aodv.hello_received", node=self.node.node_id).inc()
+        stats = self.stats
+        stats.hello_received += 1
         installed = self.table.consider(
             sender,
             next_hop=sender,
@@ -679,8 +668,8 @@ class AodvProtocol:
             expires_at=now
             + config.hello_interval * (config.allowed_hello_loss + 1),
         )
-        if installed and metrics is not None:
-            self._count_route_update()
+        if installed:
+            stats.route_updates += 1
 
     def _check_neighbor_timeouts(self) -> None:
         deadline = self.sim.now - (
@@ -708,8 +697,6 @@ class AodvProtocol:
         self.stats.rerr_sent += 1
         rerr = RouteError(src=self.address, dst=BROADCAST, unreachable=unreachable)
         obs = self.sim.obs
-        if obs.metrics is not None:
-            obs.metrics.counter("aodv.rerr_sent", node=self.node.node_id).inc()
         if obs.trace is not None:
             obs.trace.emit(
                 self.node.node_id, "aodv.rerr_tx", rerr,

@@ -109,6 +109,10 @@ class SketchConfig:
             raise ValueError("need 0 < min_threshold <= max_threshold")
 
 
+#: Monitor stats field -> metric name (labelled ``cluster``).
+SKETCH_METRICS = {"epochs": "sketch.epochs", "convictions": "sketch.convictions"}
+
+
 class AggregateMonitor:
     """Sketch-based aggregate observation attached to one RSU's
     detection service."""
@@ -133,7 +137,7 @@ class AggregateMonitor:
         self.hello_counts = self._sketch()
         self.hello_latency = self._sketch()
         self._pending_hellos: dict[int, float] = {}
-        self.epochs = 0
+        self.stats = self.rsu.sim.obs.register(SKETCH_METRICS, cluster=self.rsu.cluster_index)
         self.baseline_rate = 0.0
         self.threshold = cfg.min_threshold
         self.convicted: set[str] = set()
@@ -229,7 +233,7 @@ class AggregateMonitor:
         if self._stopped:
             return
         cfg = self.config
-        self.epochs += 1
+        self.stats.epochs += 1
         items = self.epoch_origins.items()
         rates = sorted(count / cfg.epoch for _, count, _ in items)
         # DPRAODV-style dynamic threshold: EWMA of the baseline epoch
@@ -241,14 +245,14 @@ class AggregateMonitor:
         # past the static ceiling.
         trimmed = rates[: len(rates) - max(1, len(rates) // 4)] if rates else []
         baseline = _median(trimmed) if trimmed else 0.0
-        if self.epochs == 1:
+        if self.stats.epochs == 1:
             self.baseline_rate = baseline
         else:
             alpha = cfg.ewma_alpha
             self.baseline_rate += alpha * (baseline - self.baseline_rate)
         dynamic = cfg.threshold_multiplier * self.baseline_rate
         self.threshold = min(cfg.max_threshold, max(cfg.min_threshold, dynamic))
-        if cfg.convict and self.epochs > cfg.warmup_epochs:
+        if cfg.convict and self.stats.epochs > cfg.warmup_epochs:
             for origin, count, _error in items:
                 if count / cfg.epoch > self.threshold:
                     self._convict(origin, count / cfg.epoch)
@@ -279,18 +283,14 @@ class AggregateMonitor:
             origin,
             evidence=(
                 f"rreq rate {rate:.1f}/s > dynamic threshold "
-                f"{self.threshold:.1f}/s (epoch {self.epochs})"
+                f"{self.threshold:.1f}/s (epoch {self.stats.epochs})"
             ),
         )
         if record is None:
             return
         self.conviction_order.append(origin)
-        sim = self.rsu.sim
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.counter(
-                "sketch.convictions", cluster=self.rsu.cluster_index
-            ).inc()
-        sim.logger.warning(
+        self.stats.convictions += 1
+        self.rsu.sim.logger.warning(
             self.rsu.node_id,
             f"sketch monitor convicted flooder {origin}: {record.breakdown[0]}",
         )
@@ -300,7 +300,6 @@ class AggregateMonitor:
         if metrics is None:
             return
         cluster = self.rsu.cluster_index
-        metrics.counter("sketch.epochs", cluster=cluster).inc()
         metrics.gauge("sketch.threshold", cluster=cluster).set(self.threshold)
         metrics.gauge("sketch.baseline_rate", cluster=cluster).set(self.baseline_rate)
         metrics.gauge("sketch.heavy_hitters", cluster=cluster).set(heavy_hitters)

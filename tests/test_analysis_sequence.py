@@ -1,10 +1,13 @@
-"""Tests for protocol tracing and sequence-diagram rendering."""
+"""Tests for transmission tracing and sequence-diagram rendering."""
 
 import pytest
 
-from repro.analysis import SequenceTracer, TraceEvent, render_sequence
+from repro.analysis import render_sequence
 from repro.net import Network, Node, Packet
+from repro.obs import TraceCollector, TraceEvent, TraceFilter
 from repro.sim import Simulator
+
+TRANSMISSIONS = {"net.send", "net.backbone_send"}
 
 
 def build_pair():
@@ -17,64 +20,64 @@ def build_pair():
     return sim, net, a, b
 
 
+def sent(time, src, dst, packet_kind, kind="net.send"):
+    return TraceEvent(time, src, kind, packet_kind, 0, src, dst)
+
+
 def test_tracer_records_radio_and_wire():
     sim, net, a, b = build_pair()
     net.connect_backbone(a, b)
-    tracer = SequenceTracer(net)
+    trace = sim.obs.enable_trace(trace_filter=TraceFilter(kinds=TRANSMISSIONS))
     a.send(Packet(src="a", dst="b"))
     net.transmit_backbone(a, Packet(src="a", dst="b"))
     sim.run()
-    transports = [event.transport for event in tracer.events]
-    assert transports == ["air", "wire"]
-    tracer.stop()
-    a.send(Packet(src="a", dst="b"))
-    sim.run()
-    assert len(tracer.events) == 2  # stopped: nothing new
+    assert [event.kind for event in trace.events] == [
+        "net.send", "net.backbone_send"
+    ]
+    diagram = render_sequence(trace.events, ["a", "b"]).splitlines()
+    assert "-->" in diagram[1] and "==>" in diagram[2]
 
 
 def test_tracer_kind_filter():
     from repro.routing.packets import HelloBeacon
 
     sim, net, a, b = build_pair()
-    tracer = SequenceTracer(net, kinds={"HelloBeacon"})
+    trace = sim.obs.enable_trace(
+        trace_filter=TraceFilter(
+            kinds=TRANSMISSIONS,
+            predicate=lambda event: event.packet_kind == "HelloBeacon",
+        )
+    )
     a.send(Packet(src="a", dst="b"))
     a.send(HelloBeacon(src="a", dst="*", originator="a"))
     sim.run()
-    assert [event.kind for event in tracer.events] == ["HelloBeacon"]
-    tracer.stop()
+    assert [event.packet_kind for event in trace.events] == ["HelloBeacon"]
 
 
 def test_tracer_predicate_and_capacity():
     sim, net, a, b = build_pair()
-    tracer = SequenceTracer(net, predicate=lambda p: p.dst == "b", capacity=2)
+    trace = TraceCollector(
+        sim,
+        capacity=2,
+        trace_filter=TraceFilter(
+            kinds=TRANSMISSIONS, predicate=lambda event: event.dst == "b"
+        ),
+    )
+    sim.obs.trace = trace
     for _ in range(5):
         a.send(Packet(src="a", dst="b"))
     a.send(Packet(src="a", dst="ghost"))
     sim.run()
-    assert len(tracer.events) == 2  # capacity-capped
-    assert all(event.dst == "b" for event in tracer.events)
-    tracer.stop()
-
-
-def test_tracer_involving_filter():
-    sim, net, a, b = build_pair()
-    c = Node(sim, "c", position=(900, 0))
-    net.attach(c)
-    tracer = SequenceTracer(net)
-    a.send(Packet(src="a", dst="b"))
-    c.send(Packet(src="c", dst="b"))
-    sim.run()
-    picked = tracer.involving({"a", "b"})
-    assert len(picked) == 1
-    assert picked[0].src == "a"
-    tracer.stop()
+    assert len(trace.events) == 2  # capacity-capped
+    assert trace.dropped == 3  # admitted past capacity; "ghost" never admitted
+    assert all(event.dst == "b" for event in trace.events)
 
 
 def test_render_draws_arrows_and_labels():
     events = [
-        TraceEvent(1.0, "a", "b", "RouteRequest", "air"),
-        TraceEvent(2.0, "b", "a", "RouteReply", "air"),
-        TraceEvent(3.0, "a", "c", "DetectionForward", "wire"),
+        sent(1.0, "a", "b", "RouteRequest"),
+        sent(2.0, "b", "a", "RouteReply"),
+        sent(3.0, "a", "c", "DetectionForward", kind="net.backbone_send"),
     ]
     diagram = render_sequence(events, ["a", "b", "c"])
     lines = diagram.splitlines()
@@ -86,9 +89,9 @@ def test_render_draws_arrows_and_labels():
 
 def test_render_broadcast_and_unknown_endpoints():
     events = [
-        TraceEvent(1.0, "a", "*", "MemberWarning", "air"),
-        TraceEvent(2.0, "stranger", "b", "RouteReply", "air"),  # skipped
-        TraceEvent(3.0, "a", "stranger", "RouteReply", "air"),  # skipped
+        sent(1.0, "a", "*", "MemberWarning"),
+        sent(2.0, "stranger", "b", "RouteReply"),  # skipped
+        sent(3.0, "a", "stranger", "RouteReply"),  # skipped
     ]
     diagram = render_sequence(events, ["a", "b"])
     lines = diagram.splitlines()
@@ -97,7 +100,7 @@ def test_render_broadcast_and_unknown_endpoints():
 
 
 def test_render_custom_labels():
-    events = [TraceEvent(1.0, "pid-x", "pid-y", "SecureHello", "air")]
+    events = [sent(1.0, "pid-x", "pid-y", "SecureHello")]
     diagram = render_sequence(
         events, ["pid-x", "pid-y"], labels={"pid-x": "src", "pid-y": "dst"}
     )

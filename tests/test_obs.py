@@ -27,6 +27,49 @@ from repro.sim import Simulator
 # ----------------------------------------------------------------------
 # MetricsRegistry
 # ----------------------------------------------------------------------
+def test_registered_stats_fields_become_counters_when_nonzero():
+    from repro.obs.export import render_openmetrics
+
+    sim = Simulator(seed=1)
+    stats = sim.obs.register(
+        {
+            "hits": "demo.hits",
+            "misses": "demo.misses",
+            "refused": "demo.dropped{cause=refused}",
+            "by_kind": "demo.seen{kind}",
+            "by_pair": "demo.pairs{a,b}",
+        },
+        node="n1",
+    )
+    stats.hits += 1  # counted before metrics were enabled
+    registry = sim.obs.enable_metrics()
+    stats.refused += 2
+    stats.by_kind["A"] += 3
+    stats.by_kind["B"] += 0  # zero: no instrument yet
+    stats.by_pair["x", "y"] += 4
+    assert registry.snapshot() == {
+        "demo.dropped{cause=refused,node=n1}": 2,
+        "demo.hits{node=n1}": 1,
+        "demo.pairs{a=x,b=y,node=n1}": 4,
+        "demo.seen{kind=A,node=n1}": 3,
+    }
+    stats.hits += 5
+    stats.misses += 1
+    assert registry.value("demo.hits", node="n1") == 6
+    assert registry.total("demo.") == 16
+    registry.sync()  # idempotent: syncing again counts nothing twice
+    assert dict(registry.counters("demo.misses")) == {"demo.misses{node=n1}": 1}
+    assert 'demo_seen_total{kind="A",node="n1"} 3' in render_openmetrics(registry)
+
+
+def test_stats_registered_after_enabling_are_read_too():
+    sim = Simulator(seed=1)
+    registry = sim.obs.enable_metrics()
+    stats = sim.obs.register({"ticks": "demo.ticks"}, cluster=3)
+    stats.ticks += 2
+    assert registry.snapshot() == {"demo.ticks{cluster=3}": 2}
+
+
 def test_counter_get_or_create_and_value():
     registry = MetricsRegistry()
     registry.counter("net.sent", kind="RouteRequest").inc()

@@ -114,3 +114,21 @@ def test_local_repair_gives_up_when_destination_gone():
     assert hosts[1].aodv.stats.local_repairs_started == 1
     assert hosts[1].aodv.stats.local_repairs_succeeded == 0
     assert hosts[1].aodv.stats.data_dropped_no_route == 1
+
+
+def test_failed_repair_drops_reach_the_no_route_metric():
+    config = AodvConfig(local_repair=True, discovery_retries=0)
+    sim, net, hosts = build_chain(4, aodv_config=config)
+    metrics = sim.obs.enable_metrics()
+    run_discovery(sim, hosts[0], hosts[3].address)
+    hosts[1].aodv.table.invalidate(hosts[3].address)
+    net.detach(hosts[3].node)
+    for index in range(3):  # buffered under one repair, dropped together
+        hosts[0].aodv.send_data(hosts[3].address, payload=index)
+    sim.run()
+    stats = hosts[1].aodv.stats
+    assert stats.local_repairs_started == 1
+    assert stats.data_dropped_no_route == 3
+    assert metrics.value(
+        "aodv.data_dropped", node=hosts[1].node.node_id, cause="no-route"
+    ) == stats.data_dropped_no_route

@@ -280,7 +280,7 @@ def test_monitor_threshold_stays_clamped_and_tracks_baseline():
     config = monitor.config
     # Quiet epochs: the floor holds.
     sim.run(until=2.5)
-    assert monitor.epochs == 2
+    assert monitor.stats.epochs == 2
     assert monitor.threshold == config.min_threshold
     # A noisy epoch with many moderate origins lifts the EWMA baseline,
     # but never past the static ceiling.
@@ -308,7 +308,7 @@ def test_monitor_stop_detaches_tap_and_epoch_clock():
     monitor._on_overhear(_rreq("v1", 0), "v1", "*")
     sim.run(until=5.0)
     assert monitor.packets_seen == 0
-    assert monitor.epochs == 0
+    assert monitor.stats.epochs == 0
     assert monitor.rsu.network._monitors == []
 
 

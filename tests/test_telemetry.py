@@ -291,6 +291,47 @@ def test_metrics_http_endpoints():
         server.close()
 
 
+def test_concurrent_scrapes_and_samples_keep_counters_exact():
+    """A scrape thread syncing while the simulation thread bumps and
+    registers stats must leave every counter equal to its field."""
+    import sys
+    import threading
+
+    from repro.obs import render_openmetrics
+
+    sim = Simulator(seed=1)
+    registry = sim.obs.enable_metrics()
+    done = threading.Event()
+
+    def scrape():
+        while not done.is_set():
+            render_openmetrics(registry)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    scrapers = [threading.Thread(target=scrape) for _ in range(3)]
+    try:
+        for thread in scrapers:
+            thread.start()
+        stats = []
+        for index in range(200):
+            stats.append(
+                sim.obs.register({"n": "demo.n", "k": "demo.k{kind}"}, node=index)
+            )
+            for each in stats:
+                each.n += 1
+                each.k["x"] += 2
+    finally:
+        done.set()
+        for thread in scrapers:
+            thread.join(timeout=10)
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in scrapers)
+    snapshot = registry.snapshot()
+    assert all(snapshot[f"demo.n{{node={i}}}"] == 200 - i for i in range(200))
+    assert all(snapshot[f"demo.k{{kind=x,node={i}}}"] == 2 * (200 - i) for i in range(200))
+
+
 def test_metrics_server_status_errors_are_reported_not_fatal():
     registry = MetricsRegistry()
 
