@@ -5,24 +5,27 @@ related-work cross-check) into a :class:`~repro.arena.base.Detector`
 that taps the medium at a cluster head and convicts through the shared
 isolation pipeline.  The offline baseline classes stay the single source
 of truth for the decision rules — the adapters only feed them *live*
-observations instead of a recorded reply list.
+observations instead of a recorded reply list.  One adapter,
+:class:`SequenceThresholdAdapter`, serves the ``sequence``, ``peak``
+and ``static`` columns, one :data:`~repro.baselines.SEQUENCE_PRESETS`
+entry each.
 
-All adapters are deterministic and RNG-free.  The only one that
-transmits is the naive prober, and it derives its probe addresses and
-identifiers deterministically from observed traffic (and transmits
-nothing at all in passive mode).
+Each detector's tuning is a module constant beside it; no per-trial
+knob exists.  All adapters are deterministic and RNG-free.  The only
+one that transmits is the naive prober, and it derives its probe
+addresses and identifiers deterministically from observed traffic (and
+transmits nothing at all in passive mode).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from repro.arena.base import ArenaConfig, Detector, per_rsu_installer, register_detector
 from repro.baselines import (
-    NaiveProbeDetector,
-    PeakThresholdDetector,
-    SequenceComparisonDetector,
-    StaticThresholdDetector,
+    SEQUENCE_PRESETS,
+    SequenceThresholdDetector,
     WatchdogTrustDetector,
 )
 from repro.net.network import BROADCAST
@@ -51,95 +54,65 @@ class _OverhearingDetector(Detector):
         raise NotImplementedError
 
 
-class SequenceComparisonAdapter(_OverhearingDetector):
-    """Live first-reply-outlier test (Jaiswal et al.).
+class SequenceThresholdAdapter(_OverhearingDetector):
+    """Live sequence-number ceiling: the ``sequence``, ``peak`` and
+    ``static`` columns, one :data:`SEQUENCE_PRESETS` entry each.
 
-    Collects the distinct repliers of each ``(originator, destination)``
-    discovery in observed order and, once a second opinion exists, asks
-    the offline :class:`SequenceComparisonDetector` whether the *first*
-    reply dwarfs the rest.  Defeated by sybil corroboration (the chorus
-    lifts ``rest_max``) and by modest-margin adaptive replies.
+    An absolute ceiling (``peak``, ``static``) judges each distinct claim
+    ``(originator, destination, replier, seq)`` once, on arrival — its
+    forwarded copies along the reverse path are the same claim — and
+    the rule folds every accepted claim into its ceiling.  The relative
+    ceiling (``sequence``, Jaiswal et al.) collects the distinct
+    repliers of each ``(originator, destination)`` discovery in observed
+    order and, once a second opinion exists, asks whether the *first*
+    reply dwarfs the rest.  Both are defeated by modest-margin adaptive
+    replies; the relative one also by sybil corroboration (the chorus
+    lifts the others' maximum).
     """
 
-    name = "sequence"
-
-    def __init__(self, service, config: ArenaConfig) -> None:
+    def __init__(self, service, config: ArenaConfig, *, preset: str) -> None:
         super().__init__(service, config)
-        self.baseline = SequenceComparisonDetector(ratio=config.sequence_ratio)
-        #: (originator, destination) -> first-seen reply per replier
+        self.name = preset
+        self.baseline = SequenceThresholdDetector(**SEQUENCE_PRESETS[preset])
+        #: absolute ceiling: distinct claims judged so far
+        self._seen: set[tuple[str, str, str, int]] = set()
+        #: relative ceiling: (originator, destination) -> first-seen
+        #: reply per replier
         self._replies: dict[tuple[str, str], list[RouteReply]] = {}
 
     def _on_overhear(self, packet, sender: str, intended: str) -> None:
         if not isinstance(packet, RouteReply) or not packet.replied_by:
             return
-        group = self._replies.setdefault(
-            (packet.originator, packet.destination), []
-        )
-        if any(seen.replied_by == packet.replied_by for seen in group):
-            return  # forwarded copy or repeat claim
-        group.append(packet)
-        if len(group) < 2:
-            return
-        verdict = self.baseline.evaluate(group)
-        for suspect in verdict.flagged:
-            self._convict(
-                suspect,
-                f"first reply for {packet.destination} dwarfs "
-                f"{len(group) - 1} other(s)",
-            )
-
-
-class _ThresholdAdapter(_OverhearingDetector):
-    """Shared live wrapper of the absolute sequence-number thresholds."""
-
-    def __init__(self, service, config: ArenaConfig) -> None:
-        super().__init__(service, config)
-        self.baseline = self._make_baseline(config)
-        self._seen: set[tuple[str, str, str, int]] = set()
-
-    def _make_baseline(self, config: ArenaConfig):
-        raise NotImplementedError
-
-    def _on_overhear(self, packet, sender: str, intended: str) -> None:
-        if not isinstance(packet, RouteReply) or not packet.replied_by:
-            return
-        key = (
-            packet.originator,
-            packet.destination,
-            packet.replied_by,
-            packet.destination_seq,
-        )
-        if key in self._seen:
-            return  # the same claim, forwarded along the reverse path
-        self._seen.add(key)
-        # evaluate() also folds accepted replies into an adaptive
-        # baseline (the peak detector's growth), so nothing else updates it.
-        verdict = self.baseline.evaluate([packet])
-        if verdict.flagged:
-            self._convict(
+        if self.baseline.ratio is None:
+            claim = (
+                packet.originator,
+                packet.destination,
                 packet.replied_by,
-                f"destination_seq={packet.destination_seq} above threshold",
+                packet.destination_seq,
             )
+            if claim in self._seen:
+                return
+            self._seen.add(claim)
+            verdict = self.baseline.evaluate([packet])
+            evidence = f"destination_seq={packet.destination_seq} above threshold"
+        else:
+            group = self._replies.setdefault(
+                (packet.originator, packet.destination), []
+            )
+            if any(seen.replied_by == packet.replied_by for seen in group):
+                return  # forwarded copy or repeat claim
+            group.append(packet)
+            verdict = self.baseline.evaluate(group)
+            evidence = (
+                f"first reply for {packet.destination} dwarfs "
+                f"{len(group) - 1} other(s)"
+            )
+        for suspect in verdict.flagged:
+            self._convict(suspect, evidence)
 
 
-class PeakThresholdAdapter(_ThresholdAdapter):
-    """Live dynamic-peak threshold (grows with accepted traffic)."""
-
-    name = "peak"
-
-    def _make_baseline(self, config: ArenaConfig):
-        return PeakThresholdDetector(
-            initial_peak=config.peak_initial, growth=config.peak_growth
-        )
-
-
-class StaticThresholdAdapter(_ThresholdAdapter):
-    """Live fixed per-environment threshold."""
-
-    name = "static"
-
-    def _make_baseline(self, config: ArenaConfig):
-        return StaticThresholdDetector(environment=config.environment)
+#: watchdog-trust observation epoch (seconds)
+TRUST_EPOCH = 0.5
 
 
 class TrustWatchdogAdapter(_OverhearingDetector):
@@ -161,7 +134,7 @@ class TrustWatchdogAdapter(_OverhearingDetector):
         self._handoffs: Counter = Counter()
         self._forwards: Counter = Counter()
         self._timer = self.rsu.sim.schedule(
-            config.trust_epoch, self._epoch_tick, label="trust epoch"
+            TRUST_EPOCH, self._epoch_tick, label="trust epoch"
         )
 
     def stop(self) -> None:
@@ -201,10 +174,14 @@ class TrustWatchdogAdapter(_OverhearingDetector):
         self._handoffs.clear()
         self._forwards.clear()
         self._timer = self.rsu.sim.schedule(
-            self.config.trust_epoch,
+            TRUST_EPOCH,
             self._epoch_tick,
             label="trust epoch",
         )
+
+
+#: per-RSU probe budget of the naive single-probe detector
+NAIVE_MAX_PROBES = 8
 
 
 class NaiveProbeAdapter(_OverhearingDetector):
@@ -223,7 +200,6 @@ class NaiveProbeAdapter(_OverhearingDetector):
 
     def __init__(self, service, config: ArenaConfig) -> None:
         super().__init__(service, config)
-        self.baseline = NaiveProbeDetector()
         self._probed: set[tuple[str, str]] = set()
         #: probe alias -> (suspect, destination) awaiting a reply
         self._pending: dict[str, tuple[str, str]] = {}
@@ -235,11 +211,7 @@ class NaiveProbeAdapter(_OverhearingDetector):
         pending = self._pending.get(packet.originator)
         if pending is not None:
             suspect, destination = pending
-            if (
-                packet.replied_by == suspect
-                and packet.destination == destination
-                and self.baseline.probe_verdict(packet)
-            ):
+            if packet.replied_by == suspect and packet.destination == destination:
                 self._convict(
                     suspect, f"answered re-probe for {destination}"
                 )
@@ -252,7 +224,7 @@ class NaiveProbeAdapter(_OverhearingDetector):
             or packet.originator in self._pending
             or not self.rsu.membership.is_member(suspect)
             or (suspect, packet.destination) in self._probed
-            or self._probes_sent >= self.config.naive_max_probes
+            or self._probes_sent >= NAIVE_MAX_PROBES
         ):
             return
         self._probed.add((suspect, packet.destination))
@@ -291,10 +263,14 @@ class NaiveProbeAdapter(_OverhearingDetector):
         self._pending.clear()
 
 
+#: maximum plausible hop count for the DRI adjacency cross-check
+DRI_MAX_HOPS = 1
+
+
 class DriCrossCheckAdapter(_OverhearingDetector):
     """Topology cross-check in the spirit of DRI tables (Ramaswamy et al.).
 
-    A reply claiming ``hop_count <= dri_max_hops`` adjacency to the
+    A reply claiming ``hop_count <= DRI_MAX_HOPS`` adjacency to the
     destination is only physically possible when that destination lives
     in radio range — i.e. is admitted by this cluster head or one of its
     neighbours.  A member claiming one-hop adjacency to a vehicle no
@@ -323,7 +299,7 @@ class DriCrossCheckAdapter(_OverhearingDetector):
         suspect = packet.replied_by
         if (
             suspect == packet.destination
-            or packet.hop_count > self.config.dri_max_hops
+            or packet.hop_count > DRI_MAX_HOPS
             or packet.destination.startswith("rsu-")
             or not self.rsu.membership.is_member(suspect)
         ):
@@ -360,9 +336,11 @@ def _install_examiner(world, config: ArenaConfig) -> list:
     return []
 
 
-register_detector("sequence", per_rsu_installer(SequenceComparisonAdapter))
-register_detector("peak", per_rsu_installer(PeakThresholdAdapter))
-register_detector("static", per_rsu_installer(StaticThresholdAdapter))
+for _preset in SEQUENCE_PRESETS:
+    register_detector(
+        _preset,
+        per_rsu_installer(partial(SequenceThresholdAdapter, preset=_preset)),
+    )
 register_detector("trust", per_rsu_installer(TrustWatchdogAdapter))
 register_detector("naive", per_rsu_installer(NaiveProbeAdapter))
 register_detector("dri", per_rsu_installer(DriCrossCheckAdapter))

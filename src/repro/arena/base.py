@@ -48,24 +48,6 @@ class ArenaConfig:
     #: False = passive observation only: no convictions, no transmissions
     #: (the golden-trace mode; see module docstring)
     convict: bool = True
-    #: environment for the static-threshold baseline
-    environment: str = "medium"
-    #: first-reply-outlier ratio for the sequence-comparison baseline
-    sequence_ratio: float = 2.0
-    #: initial peak / growth factor for the peak-threshold baseline
-    peak_initial: int = 50
-    peak_growth: float = 1.2
-    #: maximum plausible hop count for the DRI adjacency cross-check
-    dri_max_hops: int = 1
-    #: watchdog-trust observation epoch (seconds)
-    trust_epoch: float = 0.5
-    #: per-RSU probe budget of the naive single-probe detector
-    naive_max_probes: int = 8
-    #: data packets the plain-AODV arena source commits to the chosen
-    #: route (exercises forwarding-observation detectors), and their
-    #: spacing in seconds
-    data_packets: int = 5
-    data_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if not self.detectors:

@@ -3,37 +3,27 @@
 Implemented to support the comparison benchmarks (who wins, and where
 each baseline structurally fails):
 
-- :class:`SequenceComparisonDetector` — Jaiswal et al.: compare the first
-  RREP's sequence number against the rest; an outlier first reply marks
-  an attacker.  Fails when the attacker is the only replier.
-- :class:`PeakThresholdDetector` — Jhaveri et al.: maintain a running
-  PEAK, the maximum plausible sequence number; replies above it are
-  malicious.
-- :class:`StaticThresholdDetector` — Tan & Kim: fixed per-environment
-  thresholds.
+- :class:`SequenceThresholdDetector` — the sequence-number methods:
+  flag an RREP whose destination sequence number is above a ceiling.
+  :data:`SEQUENCE_PRESETS` holds the three published ceilings: Jaiswal
+  et al.'s first reply against twice the other replies (fails when the
+  attacker is the only replier), Jhaveri et al.'s running PEAK, and
+  Tan & Kim's fixed threshold (the PEAK at growth 1.0).
 - :class:`WatchdogTrustDetector` — opinion/trust methods (Dangore, Kaur):
   rate next hops by observed forwarding; unreliable under churn and
   attacker-polluted votes.
-- :class:`NaiveProbeDetector` — the single-probe/real-destination
-  strawman used by the probe-design ablation: convicts on the first
-  reply to a probe for a *real* destination, which false-positives on
-  honest nodes that legitimately cache routes.
 """
 
 from repro.baselines.sequence import (
+    SEQUENCE_PRESETS,
     BaselineVerdict,
-    PeakThresholdDetector,
-    SequenceComparisonDetector,
-    StaticThresholdDetector,
+    SequenceThresholdDetector,
 )
 from repro.baselines.trust import WatchdogTrustDetector
-from repro.baselines.naive_probe import NaiveProbeDetector
 
 __all__ = [
+    "SEQUENCE_PRESETS",
     "BaselineVerdict",
-    "NaiveProbeDetector",
-    "PeakThresholdDetector",
-    "SequenceComparisonDetector",
-    "StaticThresholdDetector",
+    "SequenceThresholdDetector",
     "WatchdogTrustDetector",
 ]

@@ -1,16 +1,36 @@
-"""Sequence-number based baseline detectors.
+"""The sequence-number baseline: one threshold rule, three settings.
 
-All three operate purely on the RREPs a source collects during one
-discovery, which is exactly the information the papers they reproduce
-assumed — and the root of their structural weaknesses in CV highway
-networks (single-replier topologies, no cooperative detection).
+Jaiswal et al., Jhaveri et al. and Tan & Kim all flag a route reply
+whose destination sequence number sits above a ceiling; they differ
+only in where the ceiling comes from (:data:`SEQUENCE_PRESETS`):
+
+- Jhaveri's PEAK is an absolute ceiling that grows with every
+  discovery (``peak = max(peak, seen) * growth``);
+- Tan & Kim's static threshold is the same ceiling at growth 1.0;
+- Jaiswal's first-reply comparison judges the *first* reply against
+  ``ratio × max(seq of the other replies)``, so with a single replier
+  there is no ceiling at all.
+
+The rule sees only the RREPs a source collects during one discovery,
+which is exactly the information the papers it reproduces assumed —
+and the root of their structural weaknesses in CV highway networks
+(single-replier topologies, no cooperative detection).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.routing.packets import RouteReply
+
+#: The published settings by arena detector name; Ablation A runs the
+#: same three.  ``static`` is Tan & Kim's medium-network threshold.
+SEQUENCE_PRESETS: dict[str, dict[str, float]] = {
+    "sequence": {"ratio": 2.0},
+    "peak": {"ceiling": 50, "growth": 1.2},
+    "static": {"ceiling": 100},
+}
 
 
 @dataclass
@@ -27,93 +47,64 @@ class BaselineVerdict:
         return bool(self.flagged)
 
 
-def _best(replies: list[RouteReply]) -> RouteReply | None:
-    if not replies:
-        return None
-    return max(replies, key=lambda r: (r.destination_seq, -r.hop_count))
+class SequenceThresholdDetector:
+    """Flag every RREP whose destination sequence number exceeds its
+    ceiling; act on the best of the rest.
 
-
-class SequenceComparisonDetector:
-    """Jaiswal et al.: flag the first RREP when its sequence number
-    dwarfs every other reply's.
-
-    ``ratio`` is the outlier multiplier: the first reply is malicious
-    when ``first.seq > ratio * max(other seqs)``.  With fewer than two
-    replies there is nothing to compare — the method silently accepts,
-    which is its documented failure mode.
+    Give exactly one of ``ceiling`` (absolute: every reply is judged
+    against it, and each :meth:`evaluate` multiplies it by ``growth``
+    after folding in the accepted replies) or ``ratio`` (relative: only
+    the first reply is judged, against ``ratio`` times the largest
+    sequence number among the others).
     """
 
-    def __init__(self, ratio: float = 2.0) -> None:
-        if ratio <= 1.0:
+    def __init__(
+        self,
+        ceiling: float | None = None,
+        growth: float = 1.0,
+        ratio: float | None = None,
+    ) -> None:
+        if (ceiling is None) == (ratio is None):
+            raise ValueError("give exactly one of ceiling and ratio")
+        if ceiling is not None and ceiling <= 0:
+            raise ValueError(f"ceiling must be positive, got {ceiling}")
+        if growth < 1.0:
+            raise ValueError(f"growth must be at least 1.0, got {growth}")
+        if ratio is not None and ratio <= 1.0:
             raise ValueError(f"ratio must exceed 1.0, got {ratio}")
+        #: the absolute ceiling (Jhaveri's PEAK); None for a ratio rule
+        self.ceiling = None if ceiling is None else float(ceiling)
+        self.growth = growth
         self.ratio = ratio
+
+    def _ceilings(self, replies: list[RouteReply]) -> list[float]:
+        """The ceiling each reply is judged against."""
+        if self.ceiling is not None:
+            return [self.ceiling] * len(replies)
+        ceilings = [math.inf] * len(replies)
+        if len(replies) >= 2:
+            rest_max = max(r.destination_seq for r in replies[1:])
+            if rest_max > 0:
+                ceilings[0] = self.ratio * rest_max
+        return ceilings
 
     def evaluate(self, replies: list[RouteReply]) -> BaselineVerdict:
         """Replies must be in arrival order (first element = first RREP)."""
-        if len(replies) < 2:
-            return BaselineVerdict(chosen=_best(list(replies)))
-        first = replies[0]
-        rest = replies[1:]
-        rest_max = max(r.destination_seq for r in rest)
-        if rest_max > 0 and first.destination_seq > self.ratio * rest_max:
-            return BaselineVerdict(
-                chosen=_best(rest), flagged=[first.replied_by]
-            )
-        return BaselineVerdict(chosen=_best(list(replies)))
-
-
-class PeakThresholdDetector:
-    """Jhaveri et al.: a running PEAK bounds the plausible sequence
-    number; anything above it is malicious.
-
-    The PEAK grows with legitimately observed sequence numbers
-    (``peak = max(peak, seen) * growth`` per update interval), so slow
-    legitimate growth is tracked while a black hole's jump is not.
-    """
-
-    def __init__(self, initial_peak: int = 50, growth: float = 1.2) -> None:
-        if initial_peak <= 0:
-            raise ValueError("initial_peak must be positive")
-        if growth < 1.0:
-            raise ValueError("growth must be at least 1.0")
-        self.peak = float(initial_peak)
-        self.growth = growth
-
-    def evaluate(self, replies: list[RouteReply]) -> BaselineVerdict:
-        flagged = [r.replied_by for r in replies if r.destination_seq > self.peak]
-        accepted = [r for r in replies if r.destination_seq <= self.peak]
-        self.update(accepted)
-        return BaselineVerdict(chosen=_best(accepted), flagged=flagged)
-
-    def update(self, accepted: list[RouteReply]) -> None:
-        """Advance the PEAK from legitimately accepted replies."""
-        if accepted:
-            seen = max(r.destination_seq for r in accepted)
-            self.peak = max(self.peak, float(seen)) * self.growth
-        else:
-            self.peak *= self.growth
-
-
-#: Tan & Kim's per-environment thresholds (small/medium/large networks).
-STATIC_THRESHOLDS = {"small": 60, "medium": 100, "large": 240}
-
-
-class StaticThresholdDetector:
-    """Tan & Kim: discard replies whose sequence number exceeds a fixed
-    environment-dependent threshold."""
-
-    def __init__(self, environment: str = "medium") -> None:
-        if environment not in STATIC_THRESHOLDS:
-            raise ValueError(
-                f"environment must be one of {sorted(STATIC_THRESHOLDS)}, "
-                f"got {environment!r}"
-            )
-        self.environment = environment
-        self.threshold = STATIC_THRESHOLDS[environment]
-
-    def evaluate(self, replies: list[RouteReply]) -> BaselineVerdict:
-        flagged = [
-            r.replied_by for r in replies if r.destination_seq > self.threshold
-        ]
-        accepted = [r for r in replies if r.destination_seq <= self.threshold]
-        return BaselineVerdict(chosen=_best(accepted), flagged=flagged)
+        flagged: list[str] = []
+        accepted: list[RouteReply] = []
+        for reply, ceiling in zip(replies, self._ceilings(replies)):
+            if reply.destination_seq > ceiling:
+                flagged.append(reply.replied_by)
+            else:
+                accepted.append(reply)
+        if self.ceiling is not None:
+            if accepted:
+                seen = max(r.destination_seq for r in accepted)
+                self.ceiling = max(self.ceiling, float(seen))
+            self.ceiling *= self.growth
+        chosen = max(
+            accepted,
+            key=lambda r: (r.destination_seq, -r.hop_count),
+            default=None,
+        )
+        return BaselineVerdict(chosen=chosen, flagged=flagged)

@@ -151,7 +151,7 @@ class InfrastructureWatchdog:
         and no conviction can happen after ``stop()``.
         """
         if self.rsu.network is not None:
-            self.rsu.network.remove_monitor(self.rsu)
+            self.rsu.network.remove_monitor(self.rsu, self._on_overhear)
         self._stopped = True
         for bucket in self._pending.values():
             for obligation in bucket:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.attacks import AttackerPolicy, GrayHoleVehicle
 from repro.experiments.world import World, build_world
-from repro.mobility import VehicleMotion
 
 #: positions of the honest relay chain between source (100) and the
 #: destination (3300); every hop is 800 m.
@@ -39,24 +38,6 @@ class PdrRow:
         return self.delivered / self.sent if self.sent else 0.0
 
 
-def _add_grayhole(world: World, x: float, policy: AttackerPolicy) -> GrayHoleVehicle:
-    ta = world.ta_for_vehicle(x)
-    grayhole = GrayHoleVehicle(
-        world.sim,
-        world.highway,
-        "grayhole",
-        VehicleMotion(entry_time=world.sim.now, entry_x=x, speed=0.0, lane_y=75.0),
-        policy=policy,
-        drop_probability=0.5,
-        enrolment=ta.enroll("grayhole", now=world.sim.now),
-        authority=ta,
-    )
-    world.net.attach(grayhole)
-    grayhole.activate()
-    world.vehicles.append(grayhole)
-    return grayhole
-
-
 def _build(attack: str, seed: int) -> tuple[World, object, object, object]:
     world = build_world(seed=seed)
     source = world.add_vehicle("source", x=_SOURCE_X)
@@ -70,10 +51,14 @@ def _build(attack: str, seed: int) -> tuple[World, object, object, object]:
     if attack == "single":
         attacker = world.add_attacker("blackhole", x=_ATTACKER_X)
     elif attack == "grayhole-routing":
-        attacker = _add_grayhole(world, _ATTACKER_X, AttackerPolicy.aggressive())
+        attacker = world.add_attacker(
+            "grayhole", _ATTACKER_X, vehicle_cls=GrayHoleVehicle,
+            policy=AttackerPolicy.aggressive(),
+        )
     elif attack == "grayhole-stealth":
-        attacker = _add_grayhole(
-            world, _RELAY_XS[0], AttackerPolicy.act_legitimately()
+        attacker = world.add_attacker(
+            "grayhole", _RELAY_XS[0], vehicle_cls=GrayHoleVehicle,
+            policy=AttackerPolicy.act_legitimately(),
         )
     elif attack == "cooperative":
         attacker, _teammate = world.add_cooperative_pair(

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks import AttackerPolicy
-from repro.baselines import (
-    PeakThresholdDetector,
-    SequenceComparisonDetector,
-    StaticThresholdDetector,
-)
+from repro.baselines import SEQUENCE_PRESETS, SequenceThresholdDetector
 from repro.core import DetectionRequest
 from repro.experiments.world import build_world
 from repro.routing.packets import RouteRequest
@@ -68,11 +64,20 @@ def _blackdp_detects(world, source, suspect) -> bool:
     )
 
 
+#: Ablation A's column name -> :data:`SEQUENCE_PRESETS` entry.
+_SN_BASELINES = {
+    "jaiswal-compare": "sequence",
+    "jhaveri-peak": "peak",
+    "tan-static": "static",
+}
+
+
 def _sn_baselines(replies) -> dict[str, bool]:
     return {
-        "jaiswal-compare": SequenceComparisonDetector().evaluate(list(replies)).detected_attack,
-        "jhaveri-peak": PeakThresholdDetector().evaluate(list(replies)).detected_attack,
-        "tan-static": StaticThresholdDetector("medium").evaluate(list(replies)).detected_attack,
+        column: SequenceThresholdDetector(**SEQUENCE_PRESETS[preset])
+        .evaluate(list(replies))
+        .detected_attack
+        for column, preset in _SN_BASELINES.items()
     }
 
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attacks import AttackerPolicy, FloodPolicy
+from repro.attacks import (
+    AdaptiveVehicle,
+    AttackerPolicy,
+    BlackHoleVehicle,
+    FloodPolicy,
+    GrayHoleVehicle,
+    SybilVehicle,
+)
 from repro.core.accounting import DetectionRecord
 from repro.core.verifier import VerificationOutcome
 from repro.obs import (
@@ -162,6 +169,15 @@ _EVASIVE_POLICIES: list[tuple[str, AttackerPolicy, float]] = [
 ]
 
 
+#: Attacks played by one attacker vehicle, and that vehicle's class.
+_SINGLE_ATTACKERS: dict[str, type] = {
+    ATTACK_SINGLE: BlackHoleVehicle,
+    ATTACK_GRAYHOLE: GrayHoleVehicle,
+    ATTACK_SYBIL: SybilVehicle,
+    ATTACK_ADAPTIVE: AdaptiveVehicle,
+}
+
+
 def sample_policy(config: TrialConfig, rng) -> tuple[str, AttackerPolicy]:
     """Aggressive outside the renewal zone; weighted evasive mix inside."""
     if config.policy is not None:
@@ -185,6 +201,13 @@ def choose_destination_cluster(config: TrialConfig) -> int:
     if attacker >= num // 2 + 1:
         return max(1, attacker - 4)
     return min(num, attacker + 4)
+
+
+#: Data packets the plain-AODV arena source commits to the route it
+#: chose (traffic for the forwarding-observation detectors), and their
+#: spacing in seconds.
+ARENA_DATA_PACKETS = 5
+ARENA_DATA_INTERVAL = 0.25
 
 
 @dataclass
@@ -277,10 +300,9 @@ class TrialSession:
         )
         if route is None:
             return
-        arena = self.config.arena
-        for index in range(arena.data_packets):
+        for index in range(ARENA_DATA_PACKETS):
             self.world.sim.schedule(
-                arena.data_interval * (index + 1),
+                ARENA_DATA_INTERVAL * (index + 1),
                 self._send_plain_data,
                 args=(index,),
                 label="arena data",
@@ -429,26 +451,20 @@ def begin_trial(config: TrialConfig) -> TrialSession:
         policy_name, policy = sample_policy(config, rng)
         cluster_start, cluster_end = highway.cluster_bounds(config.attacker_cluster)
         attacker_x = rng.uniform(cluster_start + 50, cluster_end - 50)
-        if config.attack == ATTACK_SINGLE:
+        vehicle_cls = _SINGLE_ATTACKERS.get(config.attack)
+        if vehicle_cls is not None:
+            if config.attack == ATTACK_ADAPTIVE:
+                # Default to the probe-aware whisper policy (not the zone
+                # mix): pass config.policy through so None lets the
+                # vehicle apply its own ADAPTIVE_POLICY.
+                policy = config.policy
+                if policy is None:
+                    policy_name = "adaptive-probe-aware"
             attackers = [
-                world.add_attacker("attacker-b1", attacker_x, policy=policy)
-            ]
-        elif config.attack == ATTACK_GRAYHOLE:
-            attackers = [
-                world.add_grayhole("attacker-b1", attacker_x, policy=policy)
-            ]
-        elif config.attack == ATTACK_SYBIL:
-            attackers = [
-                world.add_sybil("attacker-b1", attacker_x, policy=policy)
-            ]
-        elif config.attack == ATTACK_ADAPTIVE:
-            # Default to the probe-aware whisper policy (not the zone
-            # mix): pass config.policy through so None lets the vehicle
-            # apply its own ADAPTIVE_POLICY.
-            if config.policy is None:
-                policy_name = "adaptive-probe-aware"
-            attackers = [
-                world.add_adaptive("attacker-b1", attacker_x, policy=config.policy)
+                world.add_attacker(
+                    "attacker-b1", attacker_x, vehicle_cls=vehicle_cls,
+                    policy=policy,
+                )
             ]
         elif config.attack == ATTACK_WORMHOLE:
             # Exit endpoint parks in the destination cluster so the

@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks import (
-    AdaptiveVehicle,
     AttackerPolicy,
     BlackHoleVehicle,
     FloodingVehicle,
-    FloodPolicy,
-    GrayHoleVehicle,
-    SybilVehicle,
     WormholeVehicle,
     make_cooperative_pair,
     make_wormhole_pair,
@@ -115,24 +111,32 @@ class World:
         x: float,
         speed: float = 0.0,
         *,
+        vehicle_cls: type = BlackHoleVehicle,
         lane_y: float = 75.0,
-        policy: AttackerPolicy | None = None,
         enrolled: bool = True,
-    ) -> BlackHoleVehicle:
-        """Add a single black hole vehicle and activate it."""
+        **kwargs,
+    ) -> VehicleNode:
+        """Add one attacker vehicle of class ``vehicle_cls`` and activate it.
+
+        ``vehicle_cls`` is any single-node attacker — a black hole (the
+        default), :class:`GrayHoleVehicle`, :class:`SybilVehicle`,
+        :class:`AdaptiveVehicle` or :class:`FloodingVehicle`; the
+        remaining keyword arguments (``policy``, ``drop_probability``,
+        ``num_pseudonyms``, ``selector``) go to its constructor.
+        """
         ta = self.ta_for_vehicle(x)
         motion = VehicleMotion(
             entry_time=self.sim.now, entry_x=x, speed=speed, lane_y=lane_y
         )
-        attacker = BlackHoleVehicle(
+        attacker = vehicle_cls(
             self.sim,
             self.highway,
             node_id,
             motion,
-            policy=policy,
             enrolment=ta.enroll(node_id, now=self.sim.now) if enrolled else None,
             authority=ta if enrolled else None,
             transmission_range=self.transmission_range,
+            **kwargs,
         )
         self.net.attach(attacker)
         attacker.activate()
@@ -140,128 +144,18 @@ class World:
         return attacker
 
     def add_flooder(
-        self,
-        node_id: str,
-        x: float,
-        speed: float = 0.0,
-        *,
-        lane_y: float = 75.0,
-        policy: FloodPolicy | None = None,
-        enrolled: bool = True,
+        self, node_id: str, x: float, speed: float = 0.0, **kwargs
     ) -> FloodingVehicle:
-        """Add an RREQ-flooding vehicle and activate it."""
-        ta = self.ta_for_vehicle(x)
-        motion = VehicleMotion(
-            entry_time=self.sim.now, entry_x=x, speed=speed, lane_y=lane_y
-        )
-        flooder = FloodingVehicle(
-            self.sim,
-            self.highway,
-            node_id,
-            motion,
-            policy=policy,
-            enrolment=ta.enroll(node_id, now=self.sim.now) if enrolled else None,
-            authority=ta if enrolled else None,
-            transmission_range=self.transmission_range,
-        )
-        self.net.attach(flooder)
-        flooder.activate()
-        self.vehicles.append(flooder)
-        return flooder
+        """Add an RREQ-flooding vehicle: :meth:`add_attacker` with
+        ``vehicle_cls=FloodingVehicle`` (``policy`` is a
+        :class:`FloodPolicy`).
 
-    def add_grayhole(
-        self,
-        node_id: str,
-        x: float,
-        speed: float = 0.0,
-        *,
-        lane_y: float = 75.0,
-        policy: AttackerPolicy | None = None,
-        drop_probability: float = 0.5,
-        enrolled: bool = True,
-    ) -> GrayHoleVehicle:
-        """Add a selective-forwarding gray hole vehicle and activate it."""
-        ta = self.ta_for_vehicle(x)
-        motion = VehicleMotion(
-            entry_time=self.sim.now, entry_x=x, speed=speed, lane_y=lane_y
+        The benchmark's traced run (``perfbench/layers.py``) spans this
+        method by name, so it stays while that span table lists it.
+        """
+        return self.add_attacker(
+            node_id, x, speed, vehicle_cls=FloodingVehicle, **kwargs
         )
-        attacker = GrayHoleVehicle(
-            self.sim,
-            self.highway,
-            node_id,
-            motion,
-            policy=policy,
-            drop_probability=drop_probability,
-            enrolment=ta.enroll(node_id, now=self.sim.now) if enrolled else None,
-            authority=ta if enrolled else None,
-            transmission_range=self.transmission_range,
-        )
-        self.net.attach(attacker)
-        attacker.activate()
-        self.vehicles.append(attacker)
-        return attacker
-
-    def add_sybil(
-        self,
-        node_id: str,
-        x: float,
-        speed: float = 0.0,
-        *,
-        lane_y: float = 75.0,
-        policy: AttackerPolicy | None = None,
-        num_pseudonyms: int = 2,
-        enrolled: bool = True,
-    ) -> SybilVehicle:
-        """Add a sybil pseudonym-abuse attacker and activate it."""
-        ta = self.ta_for_vehicle(x)
-        motion = VehicleMotion(
-            entry_time=self.sim.now, entry_x=x, speed=speed, lane_y=lane_y
-        )
-        attacker = SybilVehicle(
-            self.sim,
-            self.highway,
-            node_id,
-            motion,
-            policy=policy,
-            num_pseudonyms=num_pseudonyms,
-            enrolment=ta.enroll(node_id, now=self.sim.now) if enrolled else None,
-            authority=ta if enrolled else None,
-            transmission_range=self.transmission_range,
-        )
-        self.net.attach(attacker)
-        attacker.activate()
-        self.vehicles.append(attacker)
-        return attacker
-
-    def add_adaptive(
-        self,
-        node_id: str,
-        x: float,
-        speed: float = 0.0,
-        *,
-        lane_y: float = 75.0,
-        policy: AttackerPolicy | None = None,
-        enrolled: bool = True,
-    ) -> AdaptiveVehicle:
-        """Add a probe-aware adaptive black hole and activate it."""
-        ta = self.ta_for_vehicle(x)
-        motion = VehicleMotion(
-            entry_time=self.sim.now, entry_x=x, speed=speed, lane_y=lane_y
-        )
-        attacker = AdaptiveVehicle(
-            self.sim,
-            self.highway,
-            node_id,
-            motion,
-            policy=policy,
-            enrolment=ta.enroll(node_id, now=self.sim.now) if enrolled else None,
-            authority=ta if enrolled else None,
-            transmission_range=self.transmission_range,
-        )
-        self.net.attach(attacker)
-        attacker.activate()
-        self.vehicles.append(attacker)
-        return attacker
 
     def add_wormhole_pair(
         self,

@@ -11,23 +11,27 @@ from repro.experiments.sweeps import (
 )
 
 
+#: EXPERIMENTS.md's Ablation A table: scenario -> detected by
+#: (Jaiswal compare, Jhaveri PEAK, Tan static, BlackDP).
+ABLATION_A = {
+    "multi-replier": (True, True, True, True),
+    "single-replier": (False, True, True, True),
+    "modest-seq": (False, False, False, True),
+    "cooperative-teammate": (False, False, False, True),
+}
+
+
 def test_only_blackdp_survives_the_hard_baseline_scenarios():
+    methods = ("jaiswal-compare", "jhaveri-peak", "tan-static", "blackdp")
     by_scenario = {row.scenario: row.detected_by for row in run_baseline_comparison()}
-    # Every method catches the textbook multi-replier case.
-    assert all(by_scenario["multi-replier"].values())
-    # Only BlackDP catches the single replier and the modest-sequence liar.
-    assert by_scenario["single-replier"]["blackdp"]
-    assert not by_scenario["single-replier"]["jaiswal-compare"]
-    assert by_scenario["modest-seq"]["blackdp"]
-    for method in ("jhaveri-peak", "tan-static", "jaiswal-compare"):
-        assert not by_scenario["modest-seq"][method], method
-    # Only BlackDP's next-hop inquiry exposes the cooperative teammate.
-    teammate = by_scenario["cooperative-teammate"]
-    assert teammate["blackdp(teammate)"]
-    assert not any(
-        detected for method, detected in teammate.items()
-        if method != "blackdp(teammate)"
-    )
+    assert set(by_scenario) == set(ABLATION_A)
+    for scenario, expected in ABLATION_A.items():
+        # The cooperative row asks whether each method names the teammate.
+        suffix = "(teammate)" if scenario == "cooperative-teammate" else ""
+        assert by_scenario[scenario] == {
+            f"{method}{suffix}": detected
+            for method, detected in zip(methods, expected)
+        }, scenario
 
 
 def test_double_probe_convicts_no_honest_cacher():

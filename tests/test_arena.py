@@ -345,16 +345,18 @@ def test_stale_schema_records_are_skipped(tmp_path):
 
 
 def test_live_peak_grows_once_per_accepted_reply():
-    from repro.arena.adapters import PeakThresholdAdapter
+    from repro.arena.adapters import SequenceThresholdAdapter
     from repro.experiments.world import build_world
     from repro.routing.packets import RouteReply
 
     world = build_world(seed=1)
-    adapter = PeakThresholdAdapter(world.services[0], ArenaConfig(detectors=("peak",)))
+    adapter = SequenceThresholdAdapter(
+        world.services[0], ArenaConfig(detectors=("peak",)), preset="peak"
+    )
     reply = RouteReply(
         src="v1", dst="v0", originator="v0", destination="v9",
         destination_seq=40, hop_count=1, lifetime=30.0, replied_by="v1",
     )
     adapter._on_overhear(reply, "v1", "v0")
     # max(50, 40) * 1.2: one growth step, not two (72.0).
-    assert adapter.baseline.peak == 60.0
+    assert adapter.baseline.ceiling == 60.0

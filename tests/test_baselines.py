@@ -3,11 +3,9 @@
 import pytest
 
 from repro.baselines import (
-    PeakThresholdDetector,
-    SequenceComparisonDetector,
-    StaticThresholdDetector,
+    SEQUENCE_PRESETS,
+    SequenceThresholdDetector,
     WatchdogTrustDetector,
-    NaiveProbeDetector,
 )
 from repro.routing import RouteReply
 
@@ -18,11 +16,15 @@ def reply(who, seq, hops=2):
     )
 
 
+def preset(name):
+    return SequenceThresholdDetector(**SEQUENCE_PRESETS[name])
+
+
 # ----------------------------------------------------------------------
-# Jaiswal: first-reply comparison
+# Jaiswal: first-reply comparison (relative ceiling)
 # ----------------------------------------------------------------------
 def test_sequence_comparison_flags_outlier_first_reply():
-    detector = SequenceComparisonDetector()
+    detector = preset("sequence")
     replies = [reply("attacker", 200), reply("honest1", 20), reply("honest2", 25)]
     verdict = detector.evaluate(replies)
     assert verdict.detected_attack
@@ -31,7 +33,7 @@ def test_sequence_comparison_flags_outlier_first_reply():
 
 
 def test_sequence_comparison_accepts_normal_spread():
-    detector = SequenceComparisonDetector()
+    detector = preset("sequence")
     verdict = detector.evaluate([reply("a", 30), reply("b", 25)])
     assert not verdict.detected_attack
     assert verdict.chosen.replied_by == "a"
@@ -40,7 +42,7 @@ def test_sequence_comparison_accepts_normal_spread():
 def test_sequence_comparison_fails_on_single_replier():
     """The CV-highway failure mode the paper calls out: when the attacker
     is the only replier there is nothing to compare against."""
-    detector = SequenceComparisonDetector()
+    detector = preset("sequence")
     verdict = detector.evaluate([reply("attacker", 500)])
     assert not verdict.detected_attack
     assert verdict.chosen.replied_by == "attacker"  # poisoned route accepted
@@ -48,30 +50,31 @@ def test_sequence_comparison_fails_on_single_replier():
 
 def test_sequence_comparison_ratio_validation():
     with pytest.raises(ValueError):
-        SequenceComparisonDetector(ratio=1.0)
+        SequenceThresholdDetector(ratio=1.0)
 
 
 # ----------------------------------------------------------------------
-# Jhaveri: PEAK threshold
+# Jhaveri: PEAK threshold (absolute ceiling that grows)
 # ----------------------------------------------------------------------
 def test_peak_flags_above_peak():
-    detector = PeakThresholdDetector(initial_peak=50)
+    detector = preset("peak")
     verdict = detector.evaluate([reply("attacker", 170), reply("honest", 20)])
     assert verdict.flagged == ["attacker"]
     assert verdict.chosen.replied_by == "honest"
 
 
 def test_peak_tracks_legitimate_growth():
-    detector = PeakThresholdDetector(initial_peak=50, growth=1.2)
+    detector = SequenceThresholdDetector(ceiling=50, growth=1.2)
     detector.evaluate([reply("h", 45)])
     # peak grew to max(50, 45) * 1.2 = 60; a legit 55 now passes
+    assert detector.ceiling == 60.0
     verdict = detector.evaluate([reply("h2", 55)])
     assert not verdict.detected_attack
 
 
 def test_peak_misses_attacker_under_peak():
     """A modest attacker that bids just under PEAK slips through."""
-    detector = PeakThresholdDetector(initial_peak=200)
+    detector = SequenceThresholdDetector(ceiling=200, growth=1.2)
     verdict = detector.evaluate([reply("attacker", 199), reply("honest", 20)])
     assert not verdict.detected_attack
     assert verdict.chosen.replied_by == "attacker"
@@ -79,39 +82,49 @@ def test_peak_misses_attacker_under_peak():
 
 def test_peak_validation():
     with pytest.raises(ValueError):
-        PeakThresholdDetector(initial_peak=0)
+        SequenceThresholdDetector(ceiling=0)
     with pytest.raises(ValueError):
-        PeakThresholdDetector(growth=0.9)
+        SequenceThresholdDetector(ceiling=50, growth=0.9)
+    # exactly one of an absolute and a relative ceiling
+    with pytest.raises(ValueError):
+        SequenceThresholdDetector()
+    with pytest.raises(ValueError):
+        SequenceThresholdDetector(ceiling=50, ratio=2.0)
 
 
 # ----------------------------------------------------------------------
-# Tan & Kim: static thresholds
+# Tan & Kim: static thresholds (the PEAK rule at growth 1.0)
 # ----------------------------------------------------------------------
 def test_static_threshold_flags_and_discards():
-    detector = StaticThresholdDetector("medium")
+    detector = preset("static")
     verdict = detector.evaluate([reply("attacker", 240 + 1), reply("honest", 30)])
-    assert verdict.flagged == ["attacker"] or verdict.flagged == []
-    # medium threshold is 120: 241 is flagged
+    assert verdict.flagged == ["attacker"]
+    assert verdict.chosen.replied_by == "honest"
+    # the medium-network threshold is 100: 241 is flagged
     assert "attacker" in detector.evaluate([reply("attacker", 241)]).flagged
 
 
+def test_static_threshold_never_moves():
+    detector = preset("static")
+    for seq in (30, 100, 99):
+        detector.evaluate([reply("honest", seq)])
+    detector.evaluate([reply("attacker", 500)])
+    assert detector.ceiling == 100.0
+    assert detector.evaluate([reply("late", 101)]).detected_attack
+
+
 def test_static_threshold_environments_differ():
-    small = StaticThresholdDetector("small")
-    large = StaticThresholdDetector("large")
+    small = SequenceThresholdDetector(ceiling=60)
+    large = SequenceThresholdDetector(ceiling=240)
     mid_seq = [reply("node", 100)]
     assert small.evaluate(mid_seq).detected_attack
     assert not large.evaluate(mid_seq).detected_attack
 
 
-def test_static_threshold_unknown_environment():
-    with pytest.raises(ValueError):
-        StaticThresholdDetector("galactic")
-
-
 def test_static_threshold_false_positive_on_old_network():
     """Fixed thresholds misfire once legitimate sequence numbers age past
     them — a known weakness BlackDP's behavioural probe avoids."""
-    detector = StaticThresholdDetector("small")
+    detector = SequenceThresholdDetector(ceiling=60)
     verdict = detector.evaluate([reply("legit-but-old", 90)])
     assert verdict.detected_attack  # false positive
     assert verdict.chosen is None
@@ -161,13 +174,3 @@ def test_watchdog_vote_pollution_harms_honest_nodes():
 def test_watchdog_vote_weight_validation():
     with pytest.raises(ValueError):
         WatchdogTrustDetector().absorb_votes({"x": 0.5}, weight=1.5)
-
-
-# ----------------------------------------------------------------------
-# Naive probe (ablation strawman)
-# ----------------------------------------------------------------------
-def test_naive_probe_convicts_any_replier():
-    detector = NaiveProbeDetector()
-    assert detector.probe_verdict(reply("honest-with-route", 40))
-    assert not detector.probe_verdict(None)
-    assert detector.probes_sent == 2

@@ -5,7 +5,6 @@ import pytest
 
 from repro.attacks import AttackerPolicy, GrayHoleVehicle
 from repro.experiments.world import build_world
-from repro.mobility import VehicleMotion
 from repro.routing import RoutingTable
 
 
@@ -14,21 +13,10 @@ from repro.routing import RoutingTable
 # ----------------------------------------------------------------------
 def make_grayhole(world, node_id, x, *, drop_probability=0.5, policy=None,
                   selector=None):
-    ta = world.ta_for_vehicle(x)
-    grayhole = GrayHoleVehicle(
-        world.sim,
-        world.highway,
-        node_id,
-        VehicleMotion(entry_time=world.sim.now, entry_x=x, speed=0.0, lane_y=75.0),
-        policy=policy,
-        drop_probability=drop_probability,
-        selector=selector,
-        enrolment=ta.enroll(node_id, now=world.sim.now),
-        authority=ta,
+    return world.add_attacker(
+        node_id, x, vehicle_cls=GrayHoleVehicle, policy=policy,
+        drop_probability=drop_probability, selector=selector,
     )
-    world.net.attach(grayhole)
-    grayhole.activate()
-    return grayhole
 
 
 def stream_through(world, source, destination, grayhole, count=40):

@@ -248,6 +248,25 @@ def test_distinct_handoffs_settle_independently():
     assert watchdog.pending_count == 0
 
 
+def test_stop_keeps_other_monitors_on_the_rsu():
+    """Regression: ``stop()`` detaches only the watchdog's own tap.  An
+    observer sharing the RSU's radio (a sketch monitor, an arena
+    detector) must keep hearing traffic; the old ``stop()`` removed every
+    monitor registered on the RSU."""
+    sim, watchdog, _service = make_harness()
+    rsu = watchdog.rsu
+    heard = []
+    rsu.network.add_monitor(
+        rsu, lambda packet, sender, intended: heard.append(packet)
+    )
+    watchdog.stop()
+    relay = Node(sim, "relay", position=(100.0, 0.0), transmission_range=1000.0)
+    rsu.network.attach(relay)
+    relay.send(_data("origin", "far-away", hops=1))
+    sim.run(until=1.0)
+    assert len(heard) == 1
+
+
 def test_stop_neutralizes_armed_grace_timers():
     """Regression: obligations armed before ``stop()`` must not mark
     drops (or convict) when their expiry events later fire."""
